@@ -397,13 +397,6 @@ def _cmd_bleu(args, staged) -> int:
     return 0
 
 
-def _cmd_compare(args, staged) -> int:
-    sets, manifest_smoothing = _load_manifest(args.manifest)
-    smoothing = args.smoothing or manifest_smoothing or "epsilon"
-    print(compare_systems(sets, smoothing=smoothing, fmt=args.format))
-    return 0
-
-
 def _add_io(sp, workers: bool = True, config: bool = True) -> None:
     sp.add_argument(
         "--in",
@@ -508,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True, metavar="PATH")
     sp.add_argument("--smoothing", choices=SMOOTHINGS, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.set_defaults(func=_cmd_compare)
+    sp.set_defaults(func=_cmd_bleu, refs=None, hyp=None)
 
     return p
 

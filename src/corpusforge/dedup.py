@@ -15,7 +15,6 @@ existing collection.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 from ._parallel import pmap
 from .corpus import Corpus, Document
 from .errors import ConfigError, DataError
-from .report import StageReport
+from .report import StageReport, rewrite_texts, run_stage
 
 REASON_DUP = "dup_doc"
 REASON_DUP_EMPTY = "dup_doc_empty"
@@ -117,8 +116,9 @@ class DedupRegistry:
 
     def __init__(self, cfg: DedupConfig):
         self.cfg = cfg
+        # Insertion order is first-seen order, so the near-mode scan
+        # returns the earliest match.
         self._exact: dict[int, str] = {}
-        self._near: list[tuple[int, str]] = []
 
     def probe(self, fp: Fingerprint) -> str | None:
         """Id of the kept duplicate, or None if unseen."""
@@ -127,7 +127,7 @@ class DedupRegistry:
             return hit
         if self.cfg.mode == "near":
             limit = self.cfg.hamming_threshold
-            for bits, doc_id in self._near:
+            for bits, doc_id in self._exact.items():
                 if (bits ^ fp.bits).bit_count() <= limit:
                     return doc_id
         return None
@@ -135,7 +135,6 @@ class DedupRegistry:
     def add(self, fp: Fingerprint, doc_id: str) -> None:
         if fp.bits not in self._exact:
             self._exact[fp.bits] = doc_id
-            self._near.append((fp.bits, doc_id))
 
     def __len__(self) -> int:
         return len(self._exact)
@@ -148,37 +147,38 @@ def dedup_documents(
     registry: DedupRegistry | None = None,
     stage: str = "dedup_overall",
     workers: int | None = 1,
+    fingerprints: list[Fingerprint] | None = None,
 ) -> tuple[Corpus, StageReport]:
     """Drop documents whose fingerprint was already seen.
 
     With ``group_by_source`` each source gets its own registry, so only
     same-source copies are dropped. A shared ``registry`` carries seen
-    fingerprints in (and accumulates the kept ones).
+    fingerprints in (and accumulates the kept ones). ``fingerprints``,
+    one per document in corpus order, skips fingerprinting when the
+    caller already has them.
     """
-    t0 = time.perf_counter()
     if group_by_source and registry is not None:
         raise ConfigError("group_by_source cannot use a shared registry")
-    report = StageReport(
-        stage=stage, docs_in=len(corpus), tokens_in=corpus.total_tokens
-    )
-    fps = pmap(partial(simhash, cfg=cfg), [d.text for d in corpus], workers)
-    registries: dict[str, DedupRegistry] = {}
-    shared = registry if registry is not None else DedupRegistry(cfg)
-    kept = []
-    for doc, fp in zip(corpus, fps):
-        reg = registries.setdefault(doc.source, DedupRegistry(cfg)) if group_by_source else shared
-        hit = reg.probe(fp)
-        if hit is None:
-            reg.add(fp, doc.id)
-            kept.append(doc)
-        else:
-            reason = REASON_DUP_EMPTY if fp.bits == 0 else REASON_DUP
-            report.record_drop(doc.id, reason, kept_id=hit)
-    out = Corpus(kept)
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+
+    def step(report: StageReport) -> Corpus:
+        fps = fingerprints
+        if fps is None:
+            fps = pmap(partial(simhash, cfg=cfg), [d.text for d in corpus], workers)
+        registries: dict[str, DedupRegistry] = {}
+        shared = registry if registry is not None else DedupRegistry(cfg)
+        kept = []
+        for doc, fp in zip(corpus, fps):
+            reg = registries.setdefault(doc.source, DedupRegistry(cfg)) if group_by_source else shared
+            hit = reg.probe(fp)
+            if hit is None:
+                reg.add(fp, doc.id)
+                kept.append(doc)
+            else:
+                reason = REASON_DUP_EMPTY if fp.bits == 0 else REASON_DUP
+                report.record_drop(doc.id, reason, kept_id=hit)
+        return Corpus(kept)
+
+    return run_stage(stage, corpus, step)
 
 
 def dedup_lines(doc: Document) -> Document:
@@ -206,18 +206,11 @@ def dedup_lines(doc: Document) -> Document:
 def dedup_corpus_lines(
     corpus: Corpus, workers: int | None = 1
 ) -> tuple[Corpus, StageReport]:
-    t0 = time.perf_counter()
-    report = StageReport(
-        stage="dedup_lines", docs_in=len(corpus), tokens_in=corpus.total_tokens
-    )
-    out_docs = pmap(dedup_lines, list(corpus), workers)
-    changed = sum(1 for a, b in zip(corpus, out_docs) if a.text != b.text)
-    out = Corpus(list(out_docs))
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.counters["docs_changed"] = changed
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+    def step(report: StageReport) -> Corpus:
+        out_docs = pmap(dedup_lines, list(corpus), workers)
+        return rewrite_texts(report, corpus, (d.text for d in out_docs))
+
+    return run_stage("dedup_lines", corpus, step)
 
 
 def dedup_pass(
@@ -231,35 +224,39 @@ def dedup_pass(
 ) -> tuple[Corpus, StageReport]:
     """Per-source dedup, then corpus-wide dedup, then in-document lines.
 
-    The aggregate report carries one sub-report per enabled pass; drops
-    appear under the pass that made them.
+    Each input document is fingerprinted once, and both document passes
+    use those fingerprints. The aggregate report carries one sub-report
+    per enabled pass; drops appear under the pass that made them.
     """
-    t0 = time.perf_counter()
-    report = StageReport(
-        stage="dedup", docs_in=len(corpus), tokens_in=corpus.total_tokens
-    )
-    out = corpus
-    if per_source:
-        out, sub = dedup_documents(
-            out, cfg, group_by_source=True, stage="dedup_per_source", workers=workers
-        )
-        report.sub_reports.append(sub)
-    if overall:
-        out, sub = dedup_documents(
-            out, cfg, registry=registry, stage="dedup_overall", workers=workers
-        )
-        report.sub_reports.append(sub)
-    if lines:
-        out, sub = dedup_corpus_lines(out, workers=workers)
-        report.sub_reports.append(sub)
-    for sub in report.sub_reports:
-        for reason, n in sub.drop_reasons.items():
-            report.drop_reasons[reason] = report.drop_reasons.get(reason, 0) + n
-        report.drop_details.extend(sub.drop_details)
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+
+    def step(report: StageReport) -> Corpus:
+        out = corpus
+        if per_source or overall:
+            fps = pmap(partial(simhash, cfg=cfg), [d.text for d in corpus], workers)
+            # Keyed by object, not id: ids need not be unique here.
+            fp_of = {id(doc): fp for doc, fp in zip(corpus, fps)}
+        if per_source:
+            out, sub = dedup_documents(
+                out, cfg, group_by_source=True, stage="dedup_per_source",
+                workers=workers, fingerprints=[fp_of[id(d)] for d in out],
+            )
+            report.sub_reports.append(sub)
+        if overall:
+            out, sub = dedup_documents(
+                out, cfg, registry=registry, stage="dedup_overall",
+                workers=workers, fingerprints=[fp_of[id(d)] for d in out],
+            )
+            report.sub_reports.append(sub)
+        if lines:
+            out, sub = dedup_corpus_lines(out, workers=workers)
+            report.sub_reports.append(sub)
+        for sub in report.sub_reports:
+            for reason, n in sub.drop_reasons.items():
+                report.drop_reasons[reason] = report.drop_reasons.get(reason, 0) + n
+            report.drop_details.extend(sub.drop_details)
+        return out
+
+    return run_stage("dedup", corpus, step)
 
 
 def write_fingerprints(path: str | Path, pairs: list[tuple[str, Fingerprint]]) -> None:

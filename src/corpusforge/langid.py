@@ -10,7 +10,6 @@ toward 0, Urdu text and Extended Arabic-Indic numerals toward 1.
 
 from __future__ import annotations
 
-import time
 import unicodedata
 from dataclasses import dataclass
 from functools import partial
@@ -18,7 +17,7 @@ from functools import partial
 from ._parallel import pmap
 from .corpus import Corpus
 from .errors import ConfigError, StageError
-from .report import StageReport
+from .report import StageReport, keep_or_drop, run_stage
 
 # Arabic script blocks used by Urdu, including presentation forms.
 URDU_SCRIPT_RANGES: tuple[tuple[int, int], ...] = (
@@ -94,24 +93,13 @@ def filter_language(
     workers: int | None = 1,
 ) -> tuple[Corpus, StageReport]:
     """Keep documents scoring at or above the threshold, in input order."""
-    t0 = time.perf_counter()
-    report = StageReport(
-        stage="lang_filter",
-        docs_in=len(corpus),
-        tokens_in=corpus.total_tokens,
-    )
-    try:
-        scores = pmap(partial(score_language, cfg=cfg), [d.text for d in corpus], workers)
-    except Exception as exc:  # pragma: no cover - scoring is total on str input
-        raise StageError("lang_filter", str(exc)) from exc
-    kept = []
-    for doc, score in zip(corpus, scores):
-        if score >= cfg.threshold:
-            kept.append(doc)
-        else:
-            report.record_drop(doc.id, DROP_BELOW_THRESHOLD)
-    out = Corpus(kept)
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+
+    def step(report: StageReport) -> Corpus:
+        try:
+            scores = pmap(partial(score_language, cfg=cfg), [d.text for d in corpus], workers)
+        except Exception as exc:  # pragma: no cover - scoring is total on str input
+            raise StageError("lang_filter", str(exc)) from exc
+        reasons = (None if s >= cfg.threshold else DROP_BELOW_THRESHOLD for s in scores)
+        return keep_or_drop(report, corpus, reasons)
+
+    return run_stage("lang_filter", corpus, step)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import re
-import time
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -27,7 +26,7 @@ from pathlib import Path
 from ._parallel import pmap
 from .corpus import Corpus, Document
 from .errors import ConfigError, StageError
-from .report import StageReport
+from .report import StageReport, rewrite_texts, run_stage
 
 _CP_RE = re.compile(r"^U\+([0-9A-Fa-f]{4,6})$")
 _PUNCT_RUN_RE = re.compile(r"(.)\1{2,}")
@@ -229,36 +228,20 @@ def split_document(doc: Document, cfg: SplitConfig = SplitConfig()) -> list[Docu
     return chunks
 
 
-def _standardize_text(text: str, table: CharMapTable) -> str:
-    return standardize(text, table)
-
-
 def standardize_corpus(
     corpus: Corpus,
     table: CharMapTable | None = None,
     workers: int | None = 1,
 ) -> tuple[Corpus, StageReport]:
     """Standardize every document; document count is unchanged."""
-    t0 = time.perf_counter()
     if table is None:
         table = default_table()
-    report = StageReport(
-        stage="standardize", docs_in=len(corpus), tokens_in=corpus.total_tokens
-    )
-    texts = pmap(partial(_standardize_text, table=table), [d.text for d in corpus], workers)
-    out_docs = []
-    changed = 0
-    for doc, text in zip(corpus, texts):
-        if text != doc.text:
-            changed += 1
-            doc = doc.with_text(text)
-        out_docs.append(doc)
-    out = Corpus(out_docs)
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.counters["docs_changed"] = changed
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+
+    def step(report: StageReport) -> Corpus:
+        texts = pmap(partial(standardize, table=table), [d.text for d in corpus], workers)
+        return rewrite_texts(report, corpus, texts)
+
+    return run_stage("standardize", corpus, step)
 
 
 def split_corpus(
@@ -267,23 +250,13 @@ def split_corpus(
     workers: int | None = 1,
 ) -> tuple[Corpus, StageReport]:
     """Split every over-length document; short documents pass through."""
-    t0 = time.perf_counter()
-    report = StageReport(
-        stage="split", docs_in=len(corpus), tokens_in=corpus.total_tokens
-    )
-    try:
-        piece_lists = pmap(partial(split_document, cfg=cfg), list(corpus), workers)
-    except Exception as exc:
-        raise StageError("split", str(exc)) from exc
-    out_docs: list[Document] = []
-    split_count = 0
-    for pieces in piece_lists:
-        if len(pieces) > 1:
-            split_count += 1
-        out_docs.extend(pieces)
-    out = Corpus(out_docs)
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.counters["docs_split"] = split_count
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+
+    def step(report: StageReport) -> Corpus:
+        try:
+            piece_lists = pmap(partial(split_document, cfg=cfg), list(corpus), workers)
+        except Exception as exc:
+            raise StageError("split", str(exc)) from exc
+        report.counters["docs_split"] = sum(1 for pieces in piece_lists if len(pieces) > 1)
+        return Corpus([doc for pieces in piece_lists for doc in pieces])
+
+    return run_stage("split", corpus, step)

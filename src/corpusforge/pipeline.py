@@ -16,8 +16,8 @@ affect output, and input files are processed in the order given.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .corpus import Corpus, read_jsonl
@@ -39,36 +39,68 @@ from .quality import (
     load_wordlist,
     scrub_corpus_pii,
 )
-from .report import PipelineReport, StageReport
+from .report import PipelineReport, StageReport, run_stage
 
-_STAGE_ORDER = (
-    "ingest",
-    "lang_filter",
-    "standardize",
-    "quality_filter",
-    "pii_scrub",
-    "dedup",
-    "split",
-)
+# The keys of each config section and the JSON type of each value.
+_SECTIONS: dict[str, dict[str, type]] = {
+    "lang": {"enabled": bool, "threshold": float, "ranges": list},
+    "normalize": {"enabled": bool, "charmap": str},
+    "quality": {
+        "enabled": bool,
+        "stopword_threshold": float,
+        "flagged_threshold": float,
+        "stopwords": str,
+        "flagged": str,
+        "min_tokens": int,
+    },
+    "pii": {"enabled": bool, "rules": str},
+    "dedup": {
+        "enabled": bool,
+        "mode": str,
+        "hamming_threshold": int,
+        "shingle_width": int,
+        "per_source": bool,
+        "overall": bool,
+        "lines": bool,
+    },
+    "split": {"enabled": bool, "target_tokens": int, "sentence_end_chars": str},
+}
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+}
 
 
-def _section(data: dict, name: str, allowed: set[str]) -> dict:
+def _is_a(value, kind: type) -> bool:
+    """JSON type check: a bool is never a number, a float takes integers."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _section(data: dict, name: str) -> dict:
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(section) - allowed
+    types = _SECTIONS[name]
+    unknown = set(section) - set(types)
     if unknown:
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in config section {name!r}"
         )
+    for key, value in section.items():
+        if not _is_a(value, types[key]):
+            raise ConfigError(
+                f"{name}.{key} must be {_TYPE_NAMES[types[key]]}, got {value!r}"
+            )
     return section
 
 
-def _enabled(section: dict) -> bool:
-    v = section.get("enabled", True)
-    if not isinstance(v, bool):
-        raise ConfigError(f"'enabled' must be true or false, got {v!r}")
-    return v
+def _pick(section: dict, *keys: str) -> dict:
+    return {k: section[k] for k in keys if k in section}
 
 
 def _resolve(path: str, base_dir: Path | None) -> Path:
@@ -99,111 +131,64 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "PipelineConfig":
-        top_allowed = {"workers", "lang", "normalize", "quality", "pii", "dedup", "split"}
-        unknown = set(data) - top_allowed
+        unknown = set(data) - {"workers", *_SECTIONS}
         if unknown:
             raise ConfigError(f"unknown top-level config key(s) {sorted(unknown)}")
-
-        norm = _section(data, "normalize", {"enabled", "charmap"})
-        normalize_enabled = _enabled(norm)
-        charmap = None
-        if "charmap" in norm:
-            charmap = CharMapTable.from_json(_resolve(norm["charmap"], base_dir))
-        wordlist_table = (charmap or default_table()) if normalize_enabled else None
-
-        lang_sec = _section(data, "lang", {"enabled", "threshold", "ranges"})
-        lang_kwargs = {}
-        if "threshold" in lang_sec:
-            lang_kwargs["threshold"] = lang_sec["threshold"]
-        if "ranges" in lang_sec:
-            try:
-                lang_kwargs["script_ranges"] = tuple(
-                    (ord(_parse_cp(lo)), ord(_parse_cp(hi)))
-                    for lo, hi in lang_sec["ranges"]
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad lang 'ranges': {exc}") from exc
-        lang = LangFilterConfig(**lang_kwargs)
-
-        q_sec = _section(
-            data,
-            "quality",
-            {
-                "enabled",
-                "stopword_threshold",
-                "flagged_threshold",
-                "stopwords",
-                "flagged",
-                "min_tokens",
-            },
+        norm, lang_sec, q_sec, pii_sec, d_sec, s_sec = (
+            _section(data, name)
+            for name in ("normalize", "lang", "quality", "pii", "dedup", "split")
         )
-        q_kwargs = {}
-        for key in ("stopword_threshold", "flagged_threshold", "min_tokens"):
-            if key in q_sec:
-                q_kwargs[key] = q_sec[key]
-        if "stopwords" in q_sec:
-            q_kwargs["stopwords"] = load_wordlist(
-                _resolve(q_sec["stopwords"], base_dir), wordlist_table
-            )
-        if "flagged" in q_sec:
-            q_kwargs["flagged"] = load_wordlist(
-                _resolve(q_sec["flagged"], base_dir), wordlist_table
-            )
-        quality = QualityConfig(**q_kwargs) if q_kwargs else None
-
-        pii_sec = _section(data, "pii", {"enabled", "rules"})
-        pii_rules = None
-        if "rules" in pii_sec:
-            pii_rules = PiiRuleSet.from_json(_resolve(pii_sec["rules"], base_dir))
-
-        d_sec = _section(
-            data,
-            "dedup",
-            {
-                "enabled",
-                "mode",
-                "hamming_threshold",
-                "shingle_width",
-                "per_source",
-                "overall",
-                "lines",
-            },
-        )
-        d_kwargs = {
-            k: d_sec[k]
-            for k in ("mode", "hamming_threshold", "shingle_width")
-            if k in d_sec
-        }
-
-        s_sec = _section(data, "split", {"enabled", "target_tokens", "sentence_end_chars"})
-        s_kwargs = {
-            k: s_sec[k] for k in ("target_tokens", "sentence_end_chars") if k in s_sec
-        }
-
         workers = data.get("workers")
-        if workers is not None and (not isinstance(workers, int) or workers < 1):
+        if workers is not None and (not _is_a(workers, int) or workers < 1):
             raise ConfigError(f"workers must be a positive integer, got {workers!r}")
 
         try:
+            charmap = None
+            if "charmap" in norm:
+                charmap = CharMapTable.from_json(_resolve(norm["charmap"], base_dir))
+            normalize_enabled = norm.get("enabled", True)
+            wordlist_table = (charmap or default_table()) if normalize_enabled else None
+
+            lang_kwargs = _pick(lang_sec, "threshold")
+            if "ranges" in lang_sec:
+                try:
+                    lang_kwargs["script_ranges"] = tuple(
+                        (ord(_parse_cp(lo)), ord(_parse_cp(hi)))
+                        for lo, hi in lang_sec["ranges"]
+                    )
+                except (AttributeError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad lang 'ranges': {exc}") from exc
+
+            q_kwargs = _pick(q_sec, "stopword_threshold", "flagged_threshold", "min_tokens")
+            for key in ("stopwords", "flagged"):
+                if key in q_sec:
+                    q_kwargs[key] = load_wordlist(
+                        _resolve(q_sec[key], base_dir), wordlist_table
+                    )
+
+            pii_rules = None
+            if "rules" in pii_sec:
+                pii_rules = PiiRuleSet.from_json(_resolve(pii_sec["rules"], base_dir))
+
             return cls(
-                lang_enabled=_enabled(lang_sec),
-                lang=lang,
+                lang_enabled=lang_sec.get("enabled", True),
+                lang=LangFilterConfig(**lang_kwargs),
                 normalize_enabled=normalize_enabled,
                 charmap=charmap,
-                quality_enabled=_enabled(q_sec),
-                quality=quality,
-                pii_enabled=_enabled(pii_sec),
+                quality_enabled=q_sec.get("enabled", True),
+                quality=QualityConfig(**q_kwargs) if q_kwargs else None,
+                pii_enabled=pii_sec.get("enabled", True),
                 pii_rules=pii_rules,
-                dedup_enabled=_enabled(d_sec),
-                dedup=DedupConfig(**d_kwargs),
-                dedup_per_source=bool(d_sec.get("per_source", True)),
-                dedup_overall=bool(d_sec.get("overall", True)),
-                dedup_lines=bool(d_sec.get("lines", True)),
-                split_enabled=_enabled(s_sec),
-                split=SplitConfig(**s_kwargs),
+                dedup_enabled=d_sec.get("enabled", True),
+                dedup=DedupConfig(**_pick(d_sec, "mode", "hamming_threshold", "shingle_width")),
+                dedup_per_source=d_sec.get("per_source", True),
+                dedup_overall=d_sec.get("overall", True),
+                dedup_lines=d_sec.get("lines", True),
+                split_enabled=s_sec.get("enabled", True),
+                split=SplitConfig(**_pick(s_sec, "target_tokens", "sentence_end_chars")),
                 workers=workers,
             )
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
@@ -224,28 +209,19 @@ class PipelineConfig:
         return replace(self, workers=workers)
 
 
-def _identity_report(stage: str, corpus: Corpus) -> StageReport:
-    n, t = len(corpus), corpus.total_tokens
-    return StageReport(
-        stage=stage, docs_in=n, docs_out=n, tokens_in=t, tokens_out=t, enabled=False
-    )
+def _unique_ids(corpus: Corpus) -> Corpus:
+    corpus.check_unique_ids()
+    return corpus
 
 
 def ingest(paths: list[str | Path]) -> tuple[Corpus, StageReport]:
     """Read and concatenate JSONL files; ids must be unique across files."""
-    t0 = time.perf_counter()
-    docs = []
-    for path in paths:
-        docs.extend(read_jsonl(path).docs)
-    corpus = Corpus(docs)
-    corpus.check_unique_ids()
-    n, t = len(corpus), corpus.total_tokens
-    report = StageReport(
-        stage="ingest", docs_in=n, docs_out=n, tokens_in=t, tokens_out=t
-    )
-    report.counters["files"] = len(paths)
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return corpus, report
+
+    def step(report: StageReport) -> Corpus:
+        report.counters["files"] = len(paths)
+        return _unique_ids(Corpus([doc for path in paths for doc in read_jsonl(path)]))
+
+    return run_stage("ingest", None, step)
 
 
 def run_pipeline(
@@ -259,61 +235,40 @@ def run_pipeline(
     w = cfg.workers
 
     if isinstance(inputs, Corpus):
-        inputs.check_unique_ids()
-        corpus = inputs
-        n, t = len(corpus), corpus.total_tokens
-        ingest_report = StageReport(
-            stage="ingest", docs_in=n, docs_out=n, tokens_in=t, tokens_out=t
-        )
+        corpus, rep = run_stage("ingest", None, lambda report: _unique_ids(inputs))
     else:
-        corpus, ingest_report = ingest(list(inputs))
-
-    stages = [ingest_report]
+        corpus, rep = ingest(list(inputs))
+    stages = [rep]
     original = corpus.source_tokens()
 
-    if cfg.lang_enabled:
-        corpus, rep = filter_language(corpus, cfg.lang, workers=w)
-    else:
-        rep = _identity_report("lang_filter", corpus)
-    stages.append(rep)
-
-    if cfg.normalize_enabled:
-        corpus, rep = standardize_corpus(corpus, cfg.charmap, workers=w)
-    else:
-        rep = _identity_report("standardize", corpus)
-    stages.append(rep)
-
-    if cfg.quality_enabled:
-        corpus, rep = filter_quality(corpus, cfg.quality, workers=w)
-    else:
-        rep = _identity_report("quality_filter", corpus)
-    stages.append(rep)
-
-    if cfg.pii_enabled:
-        corpus, rep = scrub_corpus_pii(corpus, cfg.pii_rules, workers=w)
-    else:
-        rep = _identity_report("pii_scrub", corpus)
-    stages.append(rep)
-
-    if cfg.dedup_enabled:
-        corpus, rep = dedup_pass(
-            corpus,
-            cfg.dedup,
+    # Built per call, so each stage function is looked up when the run starts.
+    chain = (
+        ("lang_filter", cfg.lang_enabled, partial(filter_language, cfg=cfg.lang, workers=w)),
+        ("standardize", cfg.normalize_enabled,
+         partial(standardize_corpus, table=cfg.charmap, workers=w)),
+        ("quality_filter", cfg.quality_enabled,
+         partial(filter_quality, cfg=cfg.quality, workers=w)),
+        ("pii_scrub", cfg.pii_enabled, partial(scrub_corpus_pii, rules=cfg.pii_rules, workers=w)),
+        ("dedup", cfg.dedup_enabled, partial(
+            dedup_pass,
+            cfg=cfg.dedup,
             per_source=cfg.dedup_per_source,
             overall=cfg.dedup_overall,
             lines=cfg.dedup_lines,
             registry=dedup_registry,
             workers=w,
-        )
-    else:
-        rep = _identity_report("dedup", corpus)
-    stages.append(rep)
-
-    if cfg.split_enabled:
-        corpus, rep = split_corpus(corpus, cfg.split, workers=w)
-    else:
-        rep = _identity_report("split", corpus)
-    stages.append(rep)
+        )),
+        ("split", cfg.split_enabled, partial(split_corpus, cfg=cfg.split, workers=w)),
+    )
+    for name, enabled, call in chain:
+        if enabled:
+            corpus, rep = call(corpus)
+        else:
+            # A disabled stage still reports, as a pass-through, so token
+            # accounting always covers the same chain.
+            rep = run_stage(name, corpus, lambda report: corpus)[1]
+            rep.enabled = False
+        stages.append(rep)
 
     report = PipelineReport(
         original_source_tokens=original,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
@@ -24,7 +23,7 @@ from pathlib import Path
 from ._parallel import pmap
 from .corpus import Corpus
 from .errors import ConfigError
-from .report import StageReport
+from .report import StageReport, keep_or_drop, rewrite_texts, run_stage
 
 REASON_EMPTY = "empty"
 REASON_STOPWORD_LOW = "stopword_low"
@@ -87,18 +86,18 @@ class QualityConfig:
             raise ConfigError(f"min_tokens must be >= 0, got {self.min_tokens}")
 
 
-def stopword_ratio(text: str, stopwords: frozenset[str]) -> float:
-    tokens = text.lower().split()
+def _ratio(tokens: list[str], words: frozenset[str]) -> float:
     if not tokens:
         return 0.0
-    return sum(1 for t in tokens if t in stopwords) / len(tokens)
+    return sum(1 for t in tokens if t in words) / len(tokens)
+
+
+def stopword_ratio(text: str, stopwords: frozenset[str]) -> float:
+    return _ratio(text.lower().split(), stopwords)
 
 
 def flagged_ratio(text: str, flagged: frozenset[str]) -> float:
-    tokens = text.lower().split()
-    if not tokens:
-        return 0.0
-    return sum(1 for t in tokens if t in flagged) / len(tokens)
+    return _ratio(text.lower().split(), flagged)
 
 
 def _check_quality(text: str, cfg: QualityConfig) -> str | None:
@@ -106,14 +105,10 @@ def _check_quality(text: str, cfg: QualityConfig) -> str | None:
     tokens = text.lower().split()
     if len(tokens) < cfg.min_tokens:
         return REASON_EMPTY
-    if cfg.stopwords:
-        ratio = sum(1 for t in tokens if t in cfg.stopwords) / len(tokens)
-        if ratio < cfg.stopword_threshold:
-            return REASON_STOPWORD_LOW
-    if cfg.flagged:
-        ratio = sum(1 for t in tokens if t in cfg.flagged) / len(tokens)
-        if ratio > cfg.flagged_threshold:
-            return REASON_FLAGGED_HIGH
+    if cfg.stopwords and _ratio(tokens, cfg.stopwords) < cfg.stopword_threshold:
+        return REASON_STOPWORD_LOW
+    if cfg.flagged and _ratio(tokens, cfg.flagged) > cfg.flagged_threshold:
+        return REASON_FLAGGED_HIGH
     return None
 
 
@@ -127,24 +122,14 @@ def filter_quality(
     With an empty stopword set the stopword test is skipped entirely
     rather than dropping everything; same for the flagged set.
     """
-    t0 = time.perf_counter()
     if cfg is None:
         cfg = QualityConfig()
-    report = StageReport(
-        stage="quality_filter", docs_in=len(corpus), tokens_in=corpus.total_tokens
-    )
-    reasons = pmap(partial(_check_quality, cfg=cfg), [d.text for d in corpus], workers)
-    kept = []
-    for doc, reason in zip(corpus, reasons):
-        if reason is None:
-            kept.append(doc)
-        else:
-            report.record_drop(doc.id, reason)
-    out = Corpus(kept)
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+
+    def step(report: StageReport) -> Corpus:
+        reasons = pmap(partial(_check_quality, cfg=cfg), [d.text for d in corpus], workers)
+        return keep_or_drop(report, corpus, reasons)
+
+    return run_stage("quality_filter", corpus, step)
 
 
 @lru_cache(maxsize=64)
@@ -246,25 +231,14 @@ def scrub_corpus_pii(
     workers: int | None = 1,
 ) -> tuple[Corpus, StageReport]:
     """Scrub every document; nothing is dropped, only rewritten."""
-    t0 = time.perf_counter()
     if rules is None:
         rules = default_pii_rules()
-    report = StageReport(
-        stage="pii_scrub", docs_in=len(corpus), tokens_in=corpus.total_tokens
-    )
-    results = pmap(partial(scrub_pii, rules=rules), [d.text for d in corpus], workers)
-    out_docs = []
-    changed = 0
-    for doc, (text, counts) in zip(corpus, results):
-        for name, n in counts.items():
-            report.counters[name] = report.counters.get(name, 0) + n
-        if text != doc.text:
-            changed += 1
-            doc = doc.with_text(text)
-        out_docs.append(doc)
-    out = Corpus(out_docs)
-    report.docs_out = len(out)
-    report.tokens_out = out.total_tokens
-    report.counters["docs_changed"] = changed
-    report.duration_ms = int((time.perf_counter() - t0) * 1000)
-    return out, report
+
+    def step(report: StageReport) -> Corpus:
+        results = pmap(partial(scrub_pii, rules=rules), [d.text for d in corpus], workers)
+        for _, counts in results:
+            for name, n in counts.items():
+                report.counters[name] = report.counters.get(name, 0) + n
+        return rewrite_texts(report, corpus, (text for text, _ in results))
+
+    return run_stage("pii_scrub", corpus, step)

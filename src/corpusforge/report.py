@@ -4,13 +4,19 @@ Every stage emits a StageReport with document/token totals and a
 drop-reason histogram; the pipeline collects them into a PipelineReport
 whose table rendering mirrors the usual per-source token-reduction
 summary (one row per source plus a TOTAL row).
+
+``run_stage`` is the one place that times a stage and fills in its
+totals; stages supply only their per-document work.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
+from .corpus import Corpus
 from .errors import DataError
 
 
@@ -91,6 +97,53 @@ class StageReport:
         except (KeyError, TypeError) as exc:
             raise DataError(f"bad stage report data: {exc}") from exc
         return rep
+
+
+def run_stage(
+    stage: str, corpus: Corpus | None, step: Callable[[StageReport], Corpus]
+) -> tuple[Corpus, StageReport]:
+    """Run ``step`` as one stage and account for it.
+
+    ``step(report)`` returns the output corpus and may record drops and
+    counters on the report; the runner fills in the input and output
+    totals and the duration. A stage that makes its corpus rather than
+    transforming one (ingest) passes ``corpus=None``, and its input
+    totals equal its output totals.
+    """
+    t0 = time.perf_counter()
+    report = StageReport(stage=stage)
+    out = step(report)
+    src = out if corpus is None else corpus
+    report.docs_in, report.tokens_in = len(src), src.total_tokens
+    report.docs_out, report.tokens_out = len(out), out.total_tokens
+    report.duration_ms = int((time.perf_counter() - t0) * 1000)
+    return out, report
+
+
+def keep_or_drop(
+    report: StageReport, corpus: Corpus, reasons: Iterable[str | None]
+) -> Corpus:
+    """Keep the documents whose reason is None; record the rest as drops."""
+    kept = []
+    for doc, reason in zip(corpus, reasons):
+        if reason is None:
+            kept.append(doc)
+        else:
+            report.record_drop(doc.id, reason)
+    return Corpus(kept)
+
+
+def rewrite_texts(report: StageReport, corpus: Corpus, texts: Iterable[str]) -> Corpus:
+    """Give each document its new text and count the ones that changed."""
+    out_docs = []
+    changed = 0
+    for doc, text in zip(corpus, texts):
+        if text != doc.text:
+            changed += 1
+            doc = doc.with_text(text)
+        out_docs.append(doc)
+    report.counters["docs_changed"] = changed
+    return Corpus(out_docs)
 
 
 @dataclass

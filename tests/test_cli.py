@@ -294,6 +294,17 @@ def test_workers_flag_does_not_change_output(tmp_path: Path):
     assert outs[0] == outs[1]
 
 
+def test_wrong_typed_config_value_is_config_error(corpus_file: Path, tmp_path: Path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lang": {"threshold": "0.9"}}), encoding="utf-8")
+    code = _forge(
+        "run", "--config", str(cfg), "--in", str(corpus_file), "--out", str(tmp_path / "o.jsonl")
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lang.threshold" in err and "Traceback" not in err
+
+
 def test_bad_workers_value(corpus_file: Path, tmp_path: Path):
     code = _forge(
         "run", "--workers", "0", "--in", str(corpus_file), "--out", str(tmp_path / "o.jsonl")

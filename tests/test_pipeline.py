@@ -149,6 +149,54 @@ def test_config_rejects_bad_enabled():
         PipelineConfig.from_dict({"lang": {"enabled": "yes"}})
 
 
+# One wrong-typed value per config key: strings for numbers and flags,
+# bools for numbers, floats for integers, non-strings for paths and text.
+WRONG_TYPED = [
+    ("workers", True),
+    ("workers", 1.5),
+    ("workers", "2"),
+    ("lang.enabled", "yes"),
+    ("lang.threshold", "0.9"),
+    ("lang.threshold", True),
+    ("lang.ranges", 5),
+    ("lang.ranges", [[5, 6]]),
+    ("normalize.enabled", 1),
+    ("normalize.charmap", 5),
+    ("quality.enabled", None),
+    ("quality.stopword_threshold", "0.1"),
+    ("quality.stopword_threshold", True),
+    ("quality.flagged_threshold", "x"),
+    ("quality.flagged_threshold", False),
+    ("quality.stopwords", 5),
+    ("quality.flagged", 5),
+    ("quality.min_tokens", "1"),
+    ("quality.min_tokens", 1.5),
+    ("quality.min_tokens", True),
+    ("pii.enabled", 0),
+    ("pii.rules", 5),
+    ("dedup.enabled", "false"),
+    ("dedup.mode", 5),
+    ("dedup.hamming_threshold", 2.5),
+    ("dedup.hamming_threshold", True),
+    ("dedup.shingle_width", 2.5),
+    ("dedup.per_source", "false"),
+    ("dedup.overall", 0),
+    ("dedup.lines", "false"),
+    ("split.enabled", "true"),
+    ("split.target_tokens", "512"),
+    ("split.target_tokens", 2.5),
+    ("split.sentence_end_chars", 5),
+]
+
+
+@pytest.mark.parametrize("key,value", WRONG_TYPED, ids=[f"{k}={v!r}" for k, v in WRONG_TYPED])
+def test_config_rejects_wrong_typed_values(key: str, value):
+    section, _, name = key.rpartition(".")
+    data = {section: {name: value}} if section else {name: value}
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict(data)
+
+
 def test_config_thresholds_applied():
     cfg = PipelineConfig.from_dict({"lang": {"threshold": 0.5}, "quality": {"stopword_threshold": 0.2}})
     assert cfg.lang.threshold == 0.5
