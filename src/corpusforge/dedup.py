@@ -185,7 +185,8 @@ def dedup_lines(doc: Document) -> Document:
     """Remove repeated lines inside one document, keeping first occurrences.
 
     Lines compare with trailing whitespace ignored; the kept line is the
-    original, untouched one.
+    original, untouched one. Blank lines are never dropped: they are the
+    paragraph breaks that splitting prefers.
     """
     lines = doc.text.split("\n")
     if len(lines) < 2:
@@ -194,7 +195,7 @@ def dedup_lines(doc: Document) -> Document:
     kept = []
     for line in lines:
         key = line.rstrip()
-        if key in seen:
+        if key and key in seen:
             continue
         seen.add(key)
         kept.append(line)

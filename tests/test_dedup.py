@@ -188,7 +188,13 @@ def test_workers_do_not_change_fingerprints():
 
 def test_line_dedup_keeps_first_occurrence():
     doc = Document(id="x", source="s", text="alpha\nbeta\nalpha\n\ngamma\n\nbeta  \nalpha")
-    assert dedup_lines(doc).text == "alpha\nbeta\n\ngamma"
+    assert dedup_lines(doc).text == "alpha\nbeta\n\ngamma\n"
+
+
+def test_line_dedup_keeps_blank_lines():
+    # repeated blank lines are paragraph breaks, not duplicates
+    doc = Document(id="x", source="s", text="a b\n\nc d\n\ne f")
+    assert dedup_lines(doc) is doc
 
 
 def test_line_dedup_trailing_space_key():
@@ -210,7 +216,7 @@ def test_line_dedup_first_occurrence_order(lines):
     seen: set[str] = set()
     expect = []
     for line in lines:
-        if line.rstrip() not in seen:
+        if not line.rstrip() or line.rstrip() not in seen:
             seen.add(line.rstrip())
             expect.append(line)
     if lines:
