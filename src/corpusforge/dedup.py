@@ -7,9 +7,11 @@ drops documents within a small Hamming distance. The first document in
 input order always wins.
 
 Duplicates are removed in three passes: within each source, across the
-whole corpus, then repeated lines inside each document. Fingerprints can
-be saved to a sidecar file and reloaded to dedup new data against an
-existing collection.
+whole corpus, then repeated lines inside each document. Each document is
+fingerprinted once, and both document passes share the fingerprints.
+Blank lines survive line dedup, since they mark paragraph breaks.
+Fingerprints can be saved to a sidecar file and reloaded to dedup new
+data against an existing collection.
 """
 
 from __future__ import annotations
@@ -226,8 +228,9 @@ def dedup_pass(
     """Per-source dedup, then corpus-wide dedup, then in-document lines.
 
     Each input document is fingerprinted once, and both document passes
-    use those fingerprints. The aggregate report carries one sub-report
-    per enabled pass; drops appear under the pass that made them.
+    use those fingerprints. Line dedup keeps blank lines. The aggregate
+    report carries one sub-report per enabled pass; drops appear under
+    the pass that made them.
     """
 
     def step(report: StageReport) -> Corpus:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpusforge import dedup
 from corpusforge.corpus import Corpus, Document
 from corpusforge.dedup import (
     REASON_DUP,
@@ -295,6 +296,82 @@ def test_dedup_pass_idempotent():
     twice, rep = dedup_pass(once)
     assert list(twice) == list(once)
     assert rep.docs_dropped == 0
+
+
+def test_dedup_pass_fingerprints_each_document_once(monkeypatch):
+    calls = []
+
+    def counting_simhash(text, cfg=DedupConfig()):
+        calls.append(text)
+        return simhash(text, cfg)
+
+    monkeypatch.setattr(dedup, "simhash", counting_simhash)
+    web = [Document(id=f"w{i}", source="web", text=t) for i, t in enumerate(["ا ب ج", "ا  ب ج", "د ہ و"])]
+    news = [Document(id="n0", source="news", text="ا ب ج"), Document(id="n1", source="news", text="د ہ  و")]
+    kept, _ = dedup_pass(Corpus(web + news), workers=1)
+    assert [d.id for d in kept] == ["w0", "w2"]
+    assert len(calls) == len(web + news)
+
+
+def _reference_dedup_pass(corpus, cfg, registry, per_source, overall, lines):
+    """The enabled passes composed by hand, each fingerprinting on its own."""
+    out, subs = corpus, []
+    if per_source:
+        out, sub = dedup_documents(out, cfg, group_by_source=True, stage="dedup_per_source")
+        subs.append(sub)
+    if overall:
+        out, sub = dedup_documents(out, cfg, registry=registry, stage="dedup_overall")
+        subs.append(sub)
+    if lines:
+        out, sub = dedup_corpus_lines(out)
+        subs.append(sub)
+    return out, subs
+
+
+def _without_durations(report):
+    d = report.to_dict()
+    del d["duration_ms"]
+    return d
+
+
+_BASES = [_rand_doc(random.Random(seed), 60) for seed in range(4)]
+# Each base, a one-character edit of it, blank text, and a whitespace-only text.
+_POOL = _BASES + [b[:30] + ("ا" if b[30] != "ا" else "ب") + b[31:] for b in _BASES] + ["", "  "]
+
+
+@st.composite
+def _docs(draw):
+    docs = []
+    for i in range(draw(st.integers(0, 12))):
+        text = draw(st.sampled_from(_POOL))
+        text = draw(st.sampled_from([text, " " + text, text[:20] + "\n" + text[20:], text + "\nرر\nرر"]))
+        # ids repeat on purpose: neither pass may rely on their being unique
+        doc_id = f"d{draw(st.integers(0, i))}"
+        docs.append(Document(id=doc_id, source=draw(st.sampled_from(["web", "news"])), text=text))
+    return docs
+
+
+@pytest.mark.parametrize("mode", ["exact", "near"])
+@settings(max_examples=100, deadline=None)
+@given(docs=_docs(), seeded=st.booleans(), passes=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_dedup_pass_matches_reference_composition(mode, docs, seeded, passes):
+    cfg = DedupConfig(mode=mode)
+    per_source, overall, lines = passes
+
+    def registry():
+        if not seeded or not overall:
+            return None
+        return seed_registry([("old", simhash(_BASES[0], cfg))], cfg)
+
+    corpus = Corpus(docs)
+    kept, report = dedup_pass(
+        corpus, cfg, per_source=per_source, overall=overall, lines=lines, registry=registry()
+    )
+    ref_kept, ref_subs = _reference_dedup_pass(corpus, cfg, registry(), *passes)
+    assert list(kept) == list(ref_kept)
+    assert [_without_durations(s) for s in report.sub_reports] == [
+        _without_durations(s) for s in ref_subs
+    ]
 
 
 # ------------------------------------------------------------------- sidecars

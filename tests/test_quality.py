@@ -96,6 +96,16 @@ def test_min_tokens():
     assert report.drop_reasons == {REASON_EMPTY: 1}
 
 
+def test_min_tokens_zero_scores_an_empty_doc_as_ratio_zero():
+    # the ratios of an empty document are 0.0, never a division by zero
+    cfg = QualityConfig(stopwords=frozenset(STOP), flagged=frozenset(["x"]), min_tokens=0)
+    kept, report = filter_quality(_corpus(["", _text(5, 5)]), cfg)
+    assert [d.id for d in kept] == ["d1"]
+    assert report.drop_reasons == {REASON_STOPWORD_LOW: 1}
+    kept, _ = filter_quality(_corpus([""]), QualityConfig(stopword_threshold=0.0, min_tokens=0))
+    assert len(kept) == 1
+
+
 def test_empty_stopword_set_disables_that_check():
     cfg = QualityConfig(stopwords=frozenset())
     kept, report = filter_quality(_corpus([_text(0, 50)]), cfg)
