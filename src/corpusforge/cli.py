@@ -30,13 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import Corpus, dump_jsonl, write_jsonl
-from .dedup import (
-    dedup_pass,
-    fingerprint_corpus,
-    read_fingerprints,
-    seed_registry,
-    write_fingerprints,
-)
+from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints
 from .errors import ConfigError, DataError, ForgeError
 from .langid import filter_language
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
@@ -238,11 +232,10 @@ def _cmd_dedup(args, staged) -> int:
         overrides["shingle_width"] = args.shingle
     if overrides:
         d = replace(d, **overrides)
-    registry = None
-    if args.fps_in:
-        if args.no_overall:
-            raise ConfigError("--fps-in needs the corpus-wide pass (drop --no-overall)")
-        registry = seed_registry(read_fingerprints(args.fps_in), d)
+    if (args.fps_in or args.fps_out) and args.no_overall:
+        raise ConfigError("--fps-in and --fps-out need the corpus-wide pass (drop --no-overall)")
+    registry = seed_registry(read_fingerprints(args.fps_in) if args.fps_in else [], d)
+    seeded = len(registry)
     corpus, _ = ingest(_expand_inputs(args.inputs))
     corpus, rep = dedup_pass(
         corpus,
@@ -254,8 +247,7 @@ def _cmd_dedup(args, staged) -> int:
         workers=_workers(args),
     )
     if args.fps_out:
-        pairs = fingerprint_corpus(corpus, d, workers=_workers(args))
-        write_fingerprints(staged.path(args.fps_out), pairs)
+        write_fingerprints(staged.path(args.fps_out), registry.pairs()[seeded:])
     _emit(args, staged, corpus, [rep])
     return 0
 

@@ -8,10 +8,11 @@ input order always wins.
 
 Duplicates are removed in three passes: within each source, across the
 whole corpus, then repeated lines inside each document. Each document is
-fingerprinted once, and both document passes share the fingerprints.
-Blank lines survive line dedup, since they mark paragraph breaks.
-Fingerprints can be saved to a sidecar file and reloaded to dedup new
-data against an existing collection.
+fingerprinted once, from its line-deduped text (the text that is written),
+and both document passes share the fingerprints. Blank lines survive line
+dedup, since they mark paragraph breaks. The corpus-wide pass's registry
+can be saved to a sidecar file and reloaded to dedup new data against an
+existing collection.
 """
 
 from __future__ import annotations
@@ -106,13 +107,6 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
     return Fingerprint(bits)
 
 
-def fingerprint_corpus(
-    corpus: Corpus, cfg: DedupConfig = DedupConfig(), workers: int | None = 1
-) -> list[tuple[str, Fingerprint]]:
-    fps = pmap(partial(simhash, cfg=cfg), [d.text for d in corpus], workers)
-    return [(doc.id, fp) for doc, fp in zip(corpus, fps)]
-
-
 class DedupRegistry:
     """Seen fingerprints with first-wins lookup."""
 
@@ -140,6 +134,10 @@ class DedupRegistry:
 
     def __len__(self) -> int:
         return len(self._exact)
+
+    def pairs(self) -> list[tuple[str, Fingerprint]]:
+        """(id, fingerprint) of every entry, in insertion order."""
+        return [(doc_id, Fingerprint(bits)) for bits, doc_id in self._exact.items()]
 
 
 def dedup_documents(
@@ -227,16 +225,18 @@ def dedup_pass(
 ) -> tuple[Corpus, StageReport]:
     """Per-source dedup, then corpus-wide dedup, then in-document lines.
 
-    Each input document is fingerprinted once, and both document passes
-    use those fingerprints. Line dedup keeps blank lines. The aggregate
-    report carries one sub-report per enabled pass; drops appear under
-    the pass that made them.
+    Each input document is fingerprinted once, from its text as written
+    (line-deduped when ``lines`` is on), for both document passes; each
+    document the corpus-wide pass keeps adds one entry to ``registry``.
+    The aggregate report carries one sub-report per enabled pass; drops
+    appear under the pass that made them.
     """
 
     def step(report: StageReport) -> Corpus:
         out = corpus
         if per_source or overall:
-            fps = pmap(partial(simhash, cfg=cfg), [d.text for d in corpus], workers)
+            texts = [dedup_lines(d).text if lines else d.text for d in corpus]
+            fps = pmap(partial(simhash, cfg=cfg), texts, workers)
             # Keyed by object, not id: ids need not be unique here.
             fp_of = {id(doc): fp for doc, fp in zip(corpus, fps)}
         if per_source:

@@ -35,7 +35,7 @@ _TOKEN_RE = re.compile(r"\S+")
 
 def _parse_cp(spec: str) -> str:
     m = _CP_RE.match(spec.strip())
-    if not m:
+    if not m or int(m.group(1), 16) > 0x10FFFF:
         raise ConfigError(f"bad codepoint spec {spec!r} (expected U+XXXX)")
     return chr(int(m.group(1), 16))
 
@@ -90,17 +90,22 @@ class CharMapTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CharMapTable":
+        if not isinstance(data, dict):
+            raise ConfigError("a charmap table must be a JSON object")
         unknown = set(data) - {"map", "strip"}
         if unknown:
             raise ConfigError(f"unknown charmap keys: {sorted(unknown)}")
-        try:
-            rules = tuple(
-                (_parse_seq(src), _parse_seq(dst)) for src, dst in data.get("map", [])
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad charmap 'map' section: {exc}") from exc
+        pairs, entries = data.get("map", []), data.get("strip", [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+            for p in pairs
+        ):
+            raise ConfigError("charmap 'map' must be a list of [input, output] string pairs")
+        if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+            raise ConfigError("charmap 'strip' must be a list of strings")
+        rules = tuple((_parse_seq(src), _parse_seq(dst)) for src, dst in pairs)
         strip: set[str] = set()
-        for entry in data.get("strip", []):
+        for entry in entries:
             strip.update(_parse_strip_entry(entry))
         return cls(rules=rules, strip=frozenset(strip))
 

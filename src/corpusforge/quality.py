@@ -188,11 +188,12 @@ class PiiRuleSet:
             if unknown:
                 raise ConfigError(f"unknown key(s) {sorted(unknown)} in PII rule #{i}")
             try:
-                rules.append(
-                    PiiRule(entry["name"], entry["pattern"], entry["replacement"])
-                )
+                fields = [entry[key] for key in ("name", "pattern", "replacement")]
             except KeyError as exc:
                 raise ConfigError(f"PII rule #{i} is missing key {exc}") from exc
+            if not all(isinstance(f, str) for f in fields):
+                raise ConfigError(f"PII rule #{i}: name, pattern and replacement must be strings")
+            rules.append(PiiRule(*fields))
         return cls(rules=tuple(rules))
 
     @classmethod

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from corpusforge import dedup
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
+from corpusforge.dedup import DedupConfig, read_fingerprints, simhash
 
 STOP = "کا کی کے کو نے سے پر ہے ہیں اور".split()
 CONTENT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت".split()
@@ -227,12 +229,70 @@ def test_dedup_writes_and_seeds_fingerprints(tmp_path: Path):
     assert overall["drops"][0]["kept_id"] == "a0"
 
 
-def test_fps_in_requires_overall_pass(tmp_path: Path, corpus_file: Path):
+@pytest.mark.parametrize("flag", ["--fps-in", "--fps-out"])
+def test_fps_in_requires_overall_pass(tmp_path: Path, corpus_file: Path, flag: str):
     code = _forge(
         "dedup", "--in", str(corpus_file), "--out", str(tmp_path / "o.jsonl"),
-        "--fps-in", str(tmp_path / "x.fps"), "--no-overall",
+        flag, str(tmp_path / "x.fps"), "--no-overall",
     )
     assert code == 2
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_fps_out_holds_the_written_texts_and_seeds_repeated_line_copies(tmp_path: Path):
+    first = _write(
+        tmp_path / "first.jsonl",
+        [
+            Document(id="a0", source="s", text=f"{_urdu(24)}\n{_urdu(9)}"),
+            Document(id="a1", source="s", text=f"{_urdu(12)}\n{_urdu(7)}\n{_urdu(12)}"),
+        ],
+    )
+    fps, out1 = tmp_path / "seen.fps", tmp_path / "o1.jsonl"
+    assert _forge("dedup", "--in", str(first), "--out", str(out1), "--fps-out", str(fps)) == 0
+    written = read_jsonl(out1)
+    assert written[1].text == f"{_urdu(12)}\n{_urdu(7)}"
+    # The removed third pass, kept as the oracle: simhash of every output text.
+    cfg = DedupConfig()
+    assert read_fingerprints(fps) == [(d.id, simhash(d.text, cfg)) for d in written]
+
+    second = _write(
+        tmp_path / "second.jsonl",
+        [
+            Document(id="b0", source="s", text=f"{_urdu(24)}\n{_urdu(24)}\n{_urdu(9)}"),
+            Document(id="b1", source="s", text="نیا مواد یہاں"),
+        ],
+    )
+    out2, report, fps2 = tmp_path / "o2.jsonl", tmp_path / "rep.json", tmp_path / "new.fps"
+    code = _forge(
+        "dedup", "--in", str(second), "--out", str(out2),
+        "--fps-in", str(fps), "--fps-out", str(fps2), "--report", str(report),
+    )
+    assert code == 0
+    assert [d.id for d in read_jsonl(out2)] == ["b1"]
+    # Only this run's kept documents, not the seeded entries.
+    assert read_fingerprints(fps2) == [("b1", simhash("نیا مواد یہاں", cfg))]
+    data = json.loads(report.read_text(encoding="utf-8"))["stages"][0]
+    overall = next(s for s in data["sub_reports"] if s["stage"] == "dedup_overall")
+    assert [(d["id"], d["kept_id"]) for d in overall["drops"]] == [("b0", "a0")]
+
+
+def test_fps_out_fingerprints_each_document_once(tmp_path: Path, monkeypatch):
+    calls = []
+
+    def counting_simhash(text, cfg=DedupConfig()):
+        calls.append(text)
+        return simhash(text, cfg)
+
+    monkeypatch.setattr(dedup, "simhash", counting_simhash)
+    docs = [Document(id=f"d{i}", source="s", text=_urdu(20 + i % 3)) for i in range(6)]
+    src = _write(tmp_path / "in.jsonl", docs)
+    code = _forge(
+        "dedup", "--workers", "1", "--in", str(src), "--out", str(tmp_path / "o.jsonl"),
+        "--fps-out", str(tmp_path / "o.fps"),
+    )
+    assert code == 0
+    assert len(read_jsonl(tmp_path / "o.jsonl")) == 3
+    assert len(calls) == len(docs)
 
 
 def test_dedup_near_mode_flags(tmp_path: Path):
@@ -303,6 +363,46 @@ def test_wrong_typed_config_value_is_config_error(corpus_file: Path, tmp_path: P
     assert code == 2
     err = capsys.readouterr().err
     assert "lang.threshold" in err and "Traceback" not in err
+
+
+# Wrong-typed entries of a character table or a PII rule file, each given
+# through its own CLI flag and through a run config.
+BAD_DATA_FILES = [
+    ("charmap", {"map": [["U+0600", 6]]}),
+    ("charmap", {"map": [[5, 6]]}),
+    ("charmap", {"map": [["U+0600"]]}),
+    ("charmap", {"map": [["U+0600", "U+0601", "U+0602"]]}),
+    ("charmap", {"map": {"U+0600": "U+0601"}}),
+    ("charmap", {"map": "U+0600"}),
+    ("charmap", {"strip": [5]}),
+    ("charmap", {"strip": [["U+0600"]]}),
+    ("charmap", {"strip": "U+0600"}),
+    ("charmap", {"strip": ["U+FFFFFF"]}),
+    ("charmap", [["U+0600", "U+0601"]]),
+    ("pii", [{"name": 5, "pattern": "x", "replacement": "<PII:X>"}]),
+    ("pii", [{"name": "X", "pattern": 5, "replacement": "<PII:X>"}]),
+    ("pii", [{"name": "X", "pattern": "x", "replacement": None}]),
+]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("kind,payload", BAD_DATA_FILES, ids=[f"{k}={p!r}" for k, p in BAD_DATA_FILES])
+def test_wrong_typed_table_or_rule_entry_is_config_error(
+    corpus_file: Path, tmp_path: Path, capsys, route: str, kind: str, payload
+):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(payload), encoding="utf-8")
+    io = ["--in", str(corpus_file), "--out", str(tmp_path / "o.jsonl")]
+    if route == "flag":
+        argv = ["normalize", "--table", str(data)] if kind == "charmap" else ["quality", "--pii", str(data)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        section = {"normalize": {"charmap": "data.json"}} if kind == "charmap" else {"pii": {"rules": "data.json"}}
+        cfg.write_text(json.dumps(section), encoding="utf-8")
+        argv = ["run", "--config", str(cfg)]
+    assert _forge(*argv, *io) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_bad_workers_value(corpus_file: Path, tmp_path: Path):

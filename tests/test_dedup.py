@@ -18,7 +18,6 @@ from corpusforge.dedup import (
     dedup_documents,
     dedup_lines,
     dedup_pass,
-    fingerprint_corpus,
     read_fingerprints,
     seed_registry,
     simhash,
@@ -179,9 +178,13 @@ def test_dedup_idempotent():
 def test_workers_do_not_change_fingerprints():
     rng = random.Random(3)
     corpus = _corpus([_rand_doc(rng, 200) for _ in range(300)])
-    fps1 = fingerprint_corpus(corpus, DedupConfig(), workers=1)
-    fps4 = fingerprint_corpus(corpus, DedupConfig(), workers=4)
-    assert fps1 == fps4
+    pairs = []
+    for workers in (1, 4):
+        registry = seed_registry([], DedupConfig())
+        kept, _ = dedup_pass(corpus, registry=registry, workers=workers)
+        pairs.append(registry.pairs())
+    assert pairs[0] == pairs[1]
+    assert [doc_id for doc_id, _ in pairs[0]] == [d.id for d in kept]
 
 
 # ----------------------------------------------------------------- line dedup
@@ -313,15 +316,44 @@ def test_dedup_pass_fingerprints_each_document_once(monkeypatch):
     assert len(calls) == len(web + news)
 
 
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_dedup_pass_drops_a_copy_that_differs_by_a_repeated_line(mode):
+    rng = random.Random(8)
+    first, second = _rand_doc(rng, 200), _rand_doc(rng, 200)
+    base = Document(id="base", source="web", text=f"{first}\n{second}")
+    copy = Document(id="copy", source="news", text=f"{first}\n{second}\n{second}")
+    other = Document(id="other", source="news", text=_rand_doc(rng, 200))
+    kept, report = dedup_pass(Corpus([base, copy, other]), DedupConfig(mode=mode))
+    assert [d.id for d in kept] == ["base", "other"]
+    overall = report.sub_reports[1]
+    assert [(d.doc_id, d.reason, d.kept_id) for d in overall.drop_details] == [
+        ("copy", REASON_DUP, "base")
+    ]
+
+
 def _reference_dedup_pass(corpus, cfg, registry, per_source, overall, lines):
-    """The enabled passes composed by hand, each fingerprinting on its own."""
-    out, subs = corpus, []
-    if per_source:
-        out, sub = dedup_documents(out, cfg, group_by_source=True, stage="dedup_per_source")
-        subs.append(sub)
-    if overall:
-        out, sub = dedup_documents(out, cfg, registry=registry, stage="dedup_overall")
-        subs.append(sub)
+    """The enabled passes composed by hand: each document pass runs on the
+    line-deduped texts and fingerprints them on its own, and its token
+    totals are those of the original documents it saw; then line dedup
+    of the originals that survived."""
+    written = [dedup_lines(d) if lines else d for d in corpus]
+    original = {id(w): d for w, d in zip(written, corpus)}
+
+    def originals(docs):
+        return Corpus([original[id(w)] for w in docs])
+
+    out, subs = Corpus(written), []
+    passes = [
+        (per_source, {"group_by_source": True, "stage": "dedup_per_source"}),
+        (overall, {"registry": registry, "stage": "dedup_overall"}),
+    ]
+    for enabled, kwargs in passes:
+        if enabled:
+            tokens_in = originals(out).total_tokens
+            out, sub = dedup_documents(out, cfg, **kwargs)
+            sub.tokens_in, sub.tokens_out = tokens_in, originals(out).total_tokens
+            subs.append(sub)
+    out = originals(out)
     if lines:
         out, sub = dedup_corpus_lines(out)
         subs.append(sub)
@@ -344,7 +376,9 @@ def _docs(draw):
     docs = []
     for i in range(draw(st.integers(0, 12))):
         text = draw(st.sampled_from(_POOL))
-        text = draw(st.sampled_from([text, " " + text, text[:20] + "\n" + text[20:], text + "\nرر\nرر"]))
+        text = draw(st.sampled_from(
+            [text, " " + text, text[:20] + "\n" + text[20:], text + "\nرر\nرر", text + "\n" + text]
+        ))
         # ids repeat on purpose: neither pass may rely on their being unique
         doc_id = f"d{draw(st.integers(0, i))}"
         docs.append(Document(id=doc_id, source=draw(st.sampled_from(["web", "news"])), text=text))

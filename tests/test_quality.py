@@ -173,6 +173,13 @@ def test_phone_scrubbed():
     assert counts["PHONE"] == 2
 
 
+@pytest.mark.parametrize("number", ["+92\t307\t1771083", "+92  307  1771083", "0307  1771083"])
+def test_phone_with_tab_or_double_space_scrubbed(number: str):
+    out, counts = scrub_pii(f"فون {number} پر")
+    assert out == "فون <PII:PHONE> پر"
+    assert counts == {"PHONE": 1}
+
+
 def test_id_number_scrubbed():
     out, counts = scrub_pii("شناخت 35202-1234567-1 درج کریں")
     assert out == "شناخت <PII:ID> درج کریں"
@@ -225,6 +232,9 @@ def test_rules_from_file(tmp_path: Path):
         {"name": "X", "pattern": "x", "replacement": "<PII:X1>"},
         {"name": "X", "pattern": "x", "replacement": "<PII:X>", "extra": 1},
         {"name": "X", "pattern": "x"},
+        {"name": 5, "pattern": "x", "replacement": "<PII:X>"},
+        {"name": "X", "pattern": ["x"], "replacement": "<PII:X>"},
+        {"name": "X", "pattern": "x", "replacement": 5},
     ],
 )
 def test_bad_rule_entries_rejected(entry):
