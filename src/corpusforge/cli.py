@@ -4,7 +4,14 @@ One subcommand per pipeline stage (each reads JSONL documents and writes
 the processed result), ``run`` for the whole chain, ``report`` to
 re-render a saved run report, and ``bleu``/``compare`` for translation
 evaluation. Stage subcommands exist so a full run can be reproduced and
-audited step by step.
+audited step by step: each runs the same chain as ``run`` with only its
+own stages switched on.
+
+Every stage flag overrides the config key it names (its argparse
+``dest``, e.g. ``--threshold`` is ``lang.threshold``), so ``--config``
+and flags are checked and loaded in one place, ``PipelineConfig.from_dict``.
+Paths given by flags resolve against the working directory, paths in the
+config file against the file's directory.
 
 Inputs are given with ``--in``, which may be a glob pattern; expansion
 happens inside the tool so quoting works the same on every shell, and
@@ -32,17 +39,8 @@ from . import __version__
 from .corpus import Corpus, dump_jsonl, write_jsonl
 from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints
 from .errors import ConfigError, DataError, ForgeError
-from .langid import filter_language
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
-from .normalize import CharMapTable, default_table, split_corpus, standardize_corpus
-from .pipeline import PipelineConfig, ingest, run_pipeline
-from .quality import (
-    PiiRuleSet,
-    QualityConfig,
-    filter_quality,
-    load_wordlist,
-    scrub_corpus_pii,
-)
+from .pipeline import PipelineConfig, ingest, read_config, run_pipeline
 from .report import PipelineReport, render_report, stage_summary
 
 log = logging.getLogger("forge")
@@ -117,17 +115,24 @@ def _write_json(payload: dict, dest: str, staged: _StagedOutputs) -> None:
         fh.write("\n")
 
 
+# The stage switches of PipelineConfig (``<stage>_enabled``), in chain order.
+_STAGES = ("lang", "normalize", "quality", "pii", "dedup", "split")
+
+
 def _load_cfg(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        return PipelineConfig.from_json(args.config)
-    return PipelineConfig()
-
-
-def _workers(args) -> int | None:
-    w = getattr(args, "workers", None)
-    if w is not None and w < 1:
-        raise ConfigError(f"--workers must be >= 1, got {w}")
-    return w
+    """The ``--config`` object with every given flag laid over the config
+    key its ``dest`` names (``workers`` or ``section.key``)."""
+    data, base_dir = {}, None
+    if args.config:
+        data, base_dir = read_config(args.config), Path(args.config).parent
+    for dest, value in vars(args).items():
+        if value is None or not (dest == "workers" or "." in dest):
+            continue
+        section, _, key = dest.rpartition(".")
+        target = data.setdefault(section, {}) if section else data
+        if isinstance(target, dict):  # a malformed section is from_dict's error
+            target[key] = value
+    return PipelineConfig.from_dict(data, base_dir=base_dir)
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -165,86 +170,37 @@ def _cmd_ingest(args, staged) -> int:
     return 0
 
 
-def _cmd_lang(args, staged) -> int:
-    cfg = _load_cfg(args).lang
-    if args.threshold is not None:
-        cfg = replace(cfg, threshold=args.threshold)
-    corpus, _ = ingest(_expand_inputs(args.inputs))
-    corpus, rep = filter_language(corpus, cfg, workers=_workers(args))
-    _emit(args, staged, corpus, [rep])
-    return 0
-
-
-def _cmd_normalize(args, staged) -> int:
-    cfg = _load_cfg(args)
-    table = cfg.charmap
-    if args.table:
-        table = CharMapTable.from_json(args.table)
-    corpus, _ = ingest(_expand_inputs(args.inputs))
-    corpus, rep = standardize_corpus(corpus, table, workers=_workers(args))
-    reports = [rep]
-    if args.target is not None:
-        split_cfg = replace(cfg.split, target_tokens=args.target)
-        corpus, rep2 = split_corpus(corpus, split_cfg, workers=_workers(args))
-        reports.append(rep2)
-    _emit(args, staged, corpus, reports)
-    return 0
-
-
-def _cmd_quality(args, staged) -> int:
-    cfg = _load_cfg(args)
-    q = cfg.quality or QualityConfig()
-    overrides = {}
-    if args.stopword_threshold is not None:
-        overrides["stopword_threshold"] = args.stopword_threshold
-    if args.flagged_threshold is not None:
-        overrides["flagged_threshold"] = args.flagged_threshold
-    if args.min_tokens is not None:
-        overrides["min_tokens"] = args.min_tokens
-    if args.stopwords:
-        overrides["stopwords"] = load_wordlist(args.stopwords, default_table())
-    if args.flagged:
-        overrides["flagged"] = load_wordlist(args.flagged, default_table())
-    if overrides:
-        q = replace(q, **overrides)
-    corpus, _ = ingest(_expand_inputs(args.inputs))
-    corpus, rep = filter_quality(corpus, q, workers=_workers(args))
-    reports = [rep]
-    if not args.no_pii:
-        rules = cfg.pii_rules
-        if args.pii:
-            rules = PiiRuleSet.from_json(args.pii)
-        corpus, rep2 = scrub_corpus_pii(corpus, rules, workers=_workers(args))
-        reports.append(rep2)
-    _emit(args, staged, corpus, reports)
+def _cmd_stages(args, staged) -> int:
+    """Run the chain with only this subcommand's stages switched on."""
+    stages = set(args.stages)
+    if getattr(args, "split.target_tokens", None) is not None:
+        stages.add("split")  # normalize --target N also splits
+    if getattr(args, "no_pii", False):
+        stages.discard("pii")
+    cfg = replace(_load_cfg(args), **{f"{stage}_enabled": stage in stages for stage in _STAGES})
+    corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg)
+    _emit(args, staged, corpus, [rep for rep in report.stages[1:] if rep.enabled])
     return 0
 
 
 def _cmd_dedup(args, staged) -> int:
     cfg = _load_cfg(args)
-    d = cfg.dedup
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.hamming is not None:
-        overrides["hamming_threshold"] = args.hamming
-    if args.shingle is not None:
-        overrides["shingle_width"] = args.shingle
-    if overrides:
-        d = replace(d, **overrides)
-    if (args.fps_in or args.fps_out) and args.no_overall:
-        raise ConfigError("--fps-in and --fps-out need the corpus-wide pass (drop --no-overall)")
-    registry = seed_registry(read_fingerprints(args.fps_in) if args.fps_in else [], d)
+    if (args.fps_in or args.fps_out) and not cfg.dedup_overall:
+        raise ConfigError(
+            "--fps-in and --fps-out need the corpus-wide pass "
+            "(drop --no-overall and dedup.overall=false)"
+        )
+    registry = seed_registry(read_fingerprints(args.fps_in) if args.fps_in else [], cfg.dedup)
     seeded = len(registry)
     corpus, _ = ingest(_expand_inputs(args.inputs))
     corpus, rep = dedup_pass(
         corpus,
-        d,
-        per_source=not args.no_per_source,
-        overall=not args.no_overall,
-        lines=not args.no_lines,
+        cfg.dedup,
+        per_source=cfg.dedup_per_source,
+        overall=cfg.dedup_overall,
+        lines=cfg.dedup_lines,
         registry=registry,
-        workers=_workers(args),
+        workers=cfg.workers,
     )
     if args.fps_out:
         write_fingerprints(staged.path(args.fps_out), registry.pairs()[seeded:])
@@ -252,27 +208,8 @@ def _cmd_dedup(args, staged) -> int:
     return 0
 
 
-def _cmd_split(args, staged) -> int:
-    cfg = _load_cfg(args).split
-    overrides = {}
-    if args.target is not None:
-        overrides["target_tokens"] = args.target
-    if args.sentence_ends is not None:
-        overrides["sentence_end_chars"] = args.sentence_ends
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    corpus, _ = ingest(_expand_inputs(args.inputs))
-    corpus, rep = split_corpus(corpus, cfg, workers=_workers(args))
-    _emit(args, staged, corpus, [rep])
-    return 0
-
-
 def _cmd_run(args, staged) -> int:
-    cfg = _load_cfg(args)
-    w = _workers(args)
-    if w is not None:
-        cfg = cfg.with_workers(w)
-    corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg)
+    corpus, report = run_pipeline(_expand_inputs(args.inputs), _load_cfg(args))
     _log_stages(*report.stages)
     _write_corpus(corpus, args.out, staged)
     if args.report:
@@ -326,7 +263,11 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
         if unknown:
             raise ConfigError(f"unknown manifest key(s) {sorted(unknown)}")
         entries = data["sets"]
+        if not isinstance(entries, list):
+            raise ConfigError(f"manifest {path}: 'sets' must be an array")
         smoothing = data.get("smoothing")
+        if smoothing is not None and smoothing not in SMOOTHINGS:
+            raise ConfigError(f"manifest smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
     elif isinstance(data, dict):
         entries = [data]
     else:
@@ -348,15 +289,18 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
                 f"unknown key(s) {sorted(unknown)} in manifest set "
                 f"{entry.get('name', '?')!r}"
             )
-        try:
-            name = entry["name"]
-            refs = tuple(_read_lines(resolve(entry["refs_path"])))
-            hyps = {
-                system: tuple(_read_lines(resolve(p)))
-                for system, p in entry["systems"].items()
-            }
-        except KeyError as exc:
-            raise ConfigError(f"manifest set is missing key {exc}") from exc
+        missing = {"name", "refs_path", "systems"} - set(entry)
+        if missing:
+            raise ConfigError(f"manifest set is missing key(s) {sorted(missing)}")
+        name, refs_path, systems = entry["name"], entry["refs_path"], entry["systems"]
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"manifest set name must be a non-empty string, got {name!r}")
+        if not isinstance(refs_path, str):
+            raise ConfigError(f"manifest set {name!r}: refs_path must be a string")
+        if not isinstance(systems, dict) or not all(isinstance(p, str) for p in systems.values()):
+            raise ConfigError(f"manifest set {name!r}: systems must map names to path strings")
+        refs = tuple(_read_lines(resolve(refs_path)))
+        hyps = {system: tuple(_read_lines(resolve(p))) for system, p in systems.items()}
         sets.append(EvalSet(name=name, references=refs, hypotheses=hyps))
     if not sets:
         raise ConfigError(f"manifest {path} defines no sets")
@@ -425,47 +369,57 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(sp, workers=False, config=False)
     sp.set_defaults(func=_cmd_ingest)
 
+    # A stage flag's dest is the config key it overrides (see _load_cfg).
+    # Path flags are made absolute here, against the working directory.
     sp = sub.add_parser("lang", help="drop documents not mostly in the target script")
     _add_io(sp)
-    sp.add_argument("--threshold", type=float, metavar="F", help="keep score >= F")
-    sp.set_defaults(func=_cmd_lang)
+    sp.add_argument("--threshold", dest="lang.threshold", type=float, metavar="F",
+                    help="keep score >= F")
+    sp.set_defaults(func=_cmd_stages, stages=("lang",))
 
     sp = sub.add_parser("normalize", help="standardize characters (and optionally split)")
     _add_io(sp)
-    sp.add_argument("--table", metavar="PATH", help="character rule table JSON")
-    sp.add_argument(
-        "--target", type=int, metavar="N", help="also split to about N tokens"
-    )
-    sp.set_defaults(func=_cmd_normalize)
+    sp.add_argument("--table", dest="normalize.charmap", type=os.path.abspath, metavar="PATH",
+                    help="character rule table JSON")
+    sp.add_argument("--target", dest="split.target_tokens", type=int, metavar="N",
+                    help="also split to about N tokens")
+    sp.set_defaults(func=_cmd_stages, stages=("normalize",))
 
     sp = sub.add_parser("quality", help="ratio-based quality filter plus PII scrub")
     _add_io(sp)
-    sp.add_argument("--stopwords", metavar="PATH", help="stopword list, one per line")
-    sp.add_argument("--flagged", metavar="PATH", help="flagged-word list, one per line")
-    sp.add_argument("--stopword-threshold", type=float, metavar="F")
-    sp.add_argument("--flagged-threshold", type=float, metavar="F")
-    sp.add_argument("--min-tokens", type=int, metavar="N")
-    sp.add_argument("--pii", metavar="PATH", help="PII rules JSON (array of rules)")
+    sp.add_argument("--stopwords", dest="quality.stopwords", type=os.path.abspath,
+                    metavar="PATH", help="stopword list, one per line")
+    sp.add_argument("--flagged", dest="quality.flagged", type=os.path.abspath,
+                    metavar="PATH", help="flagged-word list, one per line")
+    sp.add_argument("--stopword-threshold", dest="quality.stopword_threshold", type=float,
+                    metavar="F")
+    sp.add_argument("--flagged-threshold", dest="quality.flagged_threshold", type=float,
+                    metavar="F")
+    sp.add_argument("--min-tokens", dest="quality.min_tokens", type=int, metavar="N")
+    sp.add_argument("--pii", dest="pii.rules", type=os.path.abspath, metavar="PATH",
+                    help="PII rules JSON (array of rules)")
     sp.add_argument("--no-pii", action="store_true", help="skip the PII scrub")
-    sp.set_defaults(func=_cmd_quality)
+    sp.set_defaults(func=_cmd_stages, stages=("quality", "pii"))
 
     sp = sub.add_parser("dedup", help="remove duplicate documents and repeated lines")
     _add_io(sp)
-    sp.add_argument("--mode", choices=("exact", "near"))
-    sp.add_argument("--hamming", type=int, metavar="N", help="near-mode bit distance")
-    sp.add_argument("--shingle", type=int, metavar="N", help="character shingle width")
-    sp.add_argument("--no-per-source", action="store_true")
-    sp.add_argument("--no-overall", action="store_true")
-    sp.add_argument("--no-lines", action="store_true")
+    sp.add_argument("--mode", dest="dedup.mode", choices=("exact", "near"))
+    sp.add_argument("--hamming", dest="dedup.hamming_threshold", type=int, metavar="N",
+                    help="near-mode bit distance")
+    sp.add_argument("--shingle", dest="dedup.shingle_width", type=int, metavar="N",
+                    help="character shingle width")
+    sp.add_argument("--no-per-source", dest="dedup.per_source", action="store_false", default=None)
+    sp.add_argument("--no-overall", dest="dedup.overall", action="store_false", default=None)
+    sp.add_argument("--no-lines", dest="dedup.lines", action="store_false", default=None)
     sp.add_argument("--fps-in", metavar="PATH", help="seed fingerprints (id\\thex)")
     sp.add_argument("--fps-out", metavar="PATH", help="write kept fingerprints")
     sp.set_defaults(func=_cmd_dedup)
 
     sp = sub.add_parser("split", help="split long documents near a token target")
     _add_io(sp)
-    sp.add_argument("--target", type=int, metavar="N")
-    sp.add_argument("--sentence-ends", metavar="CHARS")
-    sp.set_defaults(func=_cmd_split)
+    sp.add_argument("--target", dest="split.target_tokens", type=int, metavar="N")
+    sp.add_argument("--sentence-ends", dest="split.sentence_end_chars", metavar="CHARS")
+    sp.set_defaults(func=_cmd_stages, stages=("split",))
 
     sp = sub.add_parser("run", help="run the full pipeline")
     _add_io(sp)

@@ -2,8 +2,8 @@
 
 A corpus is an ordered sequence of immutable Document records exchanged
 as JSON Lines (UTF-8, one object per line, LF endings). Token counts are
-whitespace-token counts by default; pass a different tokenizer to
-``count_tokens`` (or the readers) to substitute a subword tokenizer.
+whitespace-token counts throughout: every stage and report counts the same
+way.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import CorpusError
-
-Tokenizer = Callable[[str], list[str]]
 
 # JSONL field order is fixed so serialization is byte-stable.
 _FIELD_ORDER = ("id", "source", "text", "meta", "token_count")
@@ -28,9 +26,9 @@ def whitespace_tokens(text: str) -> list[str]:
     return text.split()
 
 
-def count_tokens(text: str, tokenizer: Tokenizer = whitespace_tokens) -> int:
+def count_tokens(text: str) -> int:
     """Number of tokens in ``text``; 0 for empty or all-whitespace input."""
-    return len(tokenizer(text))
+    return len(whitespace_tokens(text))
 
 
 def _strip_surrogates(text: str) -> str:
@@ -105,11 +103,7 @@ class Corpus:
             seen.add(d.id)
 
 
-def iter_jsonl(
-    path: str | Path,
-    source_default: str | None = None,
-    tokenizer: Tokenizer = whitespace_tokens,
-) -> Iterator[Document]:
+def iter_jsonl(path: str | Path, source_default: str | None = None) -> Iterator[Document]:
     """Stream Documents from a JSONL file in file order.
 
     Each line must be a JSON object with string fields "id" and "text";
@@ -144,7 +138,7 @@ def iter_jsonl(
                     f"{path}: line {lineno} (byte offset {line_offset}): "
                     "expected a JSON object"
                 )
-            doc = _doc_from_record(obj, path, lineno, source_default, tokenizer)
+            doc = _doc_from_record(obj, path, lineno, source_default)
             if doc.id in seen:
                 raise CorpusError(
                     f"{path}: duplicate id {doc.id!r} on lines "
@@ -154,13 +148,7 @@ def iter_jsonl(
             yield doc
 
 
-def _doc_from_record(
-    obj: dict,
-    path: Path,
-    lineno: int,
-    source_default: str,
-    tokenizer: Tokenizer,
-) -> Document:
+def _doc_from_record(obj: dict, path: Path, lineno: int, source_default: str) -> Document:
     where = f"{path}: line {lineno}"
     doc_id = obj.get("id")
     text = obj.get("text")
@@ -177,22 +165,12 @@ def _doc_from_record(
     ):
         raise CorpusError(f"{where}: 'meta' must be a string-to-string map")
     text = _strip_surrogates(text)
-    return Document(
-        id=doc_id,
-        source=source,
-        text=text,
-        meta=dict(meta),
-        token_count=count_tokens(text, tokenizer),
-    )
+    return Document(id=doc_id, source=source, text=text, meta=dict(meta))
 
 
-def read_jsonl(
-    path: str | Path,
-    source_default: str | None = None,
-    tokenizer: Tokenizer = whitespace_tokens,
-) -> Corpus:
+def read_jsonl(path: str | Path, source_default: str | None = None) -> Corpus:
     """Load a whole JSONL file into a Corpus (see ``iter_jsonl``)."""
-    return Corpus(list(iter_jsonl(path, source_default, tokenizer)))
+    return Corpus(list(iter_jsonl(path, source_default)))
 
 
 def _record(doc: Document) -> dict:

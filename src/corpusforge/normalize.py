@@ -159,14 +159,10 @@ def standardize(text: str, table: CharMapTable | None = None) -> str:
 class SplitConfig:
     target_tokens: int = 512
     sentence_end_chars: str = "۔؟!?."
-    boundary_preference: tuple[str, ...] = ("paragraph", "sentence", "whitespace")
 
     def __post_init__(self):
         if self.target_tokens < 1:
             raise ConfigError(f"target_tokens must be >= 1, got {self.target_tokens}")
-        unknown = set(self.boundary_preference) - {"paragraph", "sentence", "whitespace"}
-        if unknown:
-            raise ConfigError(f"unknown boundary preference {sorted(unknown)}")
 
 
 def _pick_cut(
@@ -180,27 +176,17 @@ def _pick_cut(
 ) -> int:
     """Choose a gap index g in [lo, hi]: cut before token start+g.
 
-    Highest-priority boundary class wins; within a class the gap closest
-    to the target chunk length is chosen (ties toward the earlier gap).
+    A paragraph break wins over a sentence end, which wins over any other
+    gap; within a class the gap closest to the target chunk length is
+    chosen (ties toward the earlier gap).
     """
-    def gap_ws(g: int) -> str:
-        return text[spans[start + g - 1][1] : spans[start + g][0]]
-
     candidates = range(lo, hi + 1)
-    for kind in cfg.boundary_preference:
-        if kind == "paragraph":
-            hits = [g for g in candidates if gap_ws(g).count("\n") >= 2]
-        elif kind == "sentence":
-            hits = [
-                g
-                for g in candidates
-                if text[spans[start + g - 1][1] - 1] in cfg.sentence_end_chars
-            ]
-        else:
-            hits = list(candidates)
-        if hits:
-            return min(hits, key=lambda g: (abs(g - target), g))
-    return hi  # unreachable: "whitespace" matches every gap
+    hits = (
+        [g for g in candidates if text.count("\n", spans[start + g - 1][1], spans[start + g][0]) >= 2]
+        or [g for g in candidates if text[spans[start + g - 1][1] - 1] in cfg.sentence_end_chars]
+        or candidates
+    )
+    return min(hits, key=lambda g: (abs(g - target), g))
 
 
 def split_document(doc: Document, cfg: SplitConfig = SplitConfig()) -> list[Document]:

@@ -16,7 +16,7 @@ affect output, and input files are processed in the order given.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -101,6 +101,20 @@ def _section(data: dict, name: str) -> dict:
 
 def _pick(section: dict, *keys: str) -> dict:
     return {k: section[k] for k in keys if k in section}
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object in a pipeline config file, not yet checked."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return data
 
 
 def _resolve(path: str, base_dir: Path | None) -> Path:
@@ -193,20 +207,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        path = Path(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        return cls.from_dict(data, base_dir=path.parent)
-
-    def with_workers(self, workers: int | None) -> "PipelineConfig":
-        return replace(self, workers=workers)
+        return cls.from_dict(read_config(path), base_dir=Path(path).parent)
 
 
 def _unique_ids(corpus: Corpus) -> Corpus:

@@ -9,6 +9,9 @@ from corpusforge import dedup
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
 from corpusforge.dedup import DedupConfig, read_fingerprints, simhash
+from corpusforge.langid import LangFilterConfig, filter_language
+from corpusforge.normalize import SplitConfig, split_corpus, standardize_corpus
+from corpusforge.quality import filter_quality, scrub_corpus_pii
 
 STOP = "کا کی کے کو نے سے پر ہے ہیں اور".split()
 CONTENT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت".split()
@@ -327,6 +330,94 @@ def test_split_command(tmp_path: Path):
     assert [d.token_count for d in read_jsonl(out)] == [10] * 10
 
 
+def _chain(*stages):
+    def run(corpus):
+        reports = []
+        for stage in stages:
+            corpus, rep = stage(corpus)
+            reports.append(rep)
+        return corpus, reports
+
+    return run
+
+
+def _without_durations(stage: dict) -> dict:
+    stage = {k: v for k, v in stage.items() if k != "duration_ms"}
+    stage["sub_reports"] = [_without_durations(s) for s in stage.get("sub_reports", [])]
+    return stage
+
+
+# Each stage subcommand against its stage functions called directly.
+STAGE_COMMANDS = [
+    (["lang", "--threshold", "0.8"],
+     _chain(lambda c: filter_language(c, LangFilterConfig(threshold=0.8)))),
+    (["normalize", "--target", "10"],
+     _chain(standardize_corpus, lambda c: split_corpus(c, SplitConfig(target_tokens=10)))),
+    (["quality"], _chain(filter_quality, scrub_corpus_pii)),
+    (["quality", "--no-pii"], _chain(filter_quality)),
+    (["split", "--target", "10", "--sentence-ends", "۔"],
+     _chain(lambda c: split_corpus(c, SplitConfig(target_tokens=10, sentence_end_chars="۔")))),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,oracle", STAGE_COMMANDS, ids=[" ".join(argv) for argv, _ in STAGE_COMMANDS]
+)
+def test_stage_subcommand_equals_its_stage_functions(tmp_path: Path, argv, oracle):
+    docs = [
+        Document(id="u0", source="web", text=_urdu(30)),
+        Document(id="yeh", source="web", text="كتاب ي " + _urdu(12) + "\n\n" + _urdu(14)),
+        Document(id="mail", source="news", text=_urdu(9) + " a@b.com ۔ " + _urdu(25)),
+        Document(id="en", source="news", text="this is english filler text"),
+        Document(id="junk", source="news", text=" ".join(CONTENT * 2)),
+    ]
+    src = _write(tmp_path / "in.jsonl", docs)
+    out, report = tmp_path / "o.jsonl", tmp_path / "r.json"
+    code = _forge(*argv, "--workers", "1", "--in", str(src), "--out", str(out), "--report", str(report))
+    assert code == 0
+    expected, reports = oracle(read_jsonl(src))
+    assert list(read_jsonl(out)) == list(expected)
+    stages = json.loads(report.read_text(encoding="utf-8"))["stages"]
+    assert [_without_durations(s) for s in stages] == [
+        _without_durations(r.to_dict()) for r in reports
+    ]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_flag_wordlist_uses_the_config_charmap(tmp_path: Path, route: str):
+    (tmp_path / "t.json").write_text(json.dumps({"map": [["U+0061", "U+0062"]]}), encoding="utf-8")
+    (tmp_path / "s.txt").write_text("a\n", encoding="utf-8")
+    section = {"charmap": "t.json"}
+    cfg = {"normalize": section, "quality": {"stopwords": "s.txt"}} if route == "config" else {
+        "normalize": section
+    }
+    (tmp_path / "c.json").write_text(json.dumps(cfg), encoding="utf-8")
+    src = _write(tmp_path / "in.jsonl", [Document(id="d", source="s", text="b b b b")])
+    flags = ["--stopwords", str(tmp_path / "s.txt")] if route == "flag" else []
+    out = tmp_path / "o.jsonl"
+    code = _forge(
+        "quality", "--config", str(tmp_path / "c.json"), *flags, "--in", str(src), "--out", str(out)
+    )
+    assert code == 0
+    assert [d.id for d in read_jsonl(out)] == ["d"]
+
+
+def test_flag_path_is_relative_to_cwd_and_config_path_to_config(tmp_path: Path, monkeypatch):
+    (tmp_path / "conf").mkdir()
+    (tmp_path / "conf" / "t.json").write_text(json.dumps({"map": [["U+0041", "U+0042"]]}), encoding="utf-8")
+    (tmp_path / "conf" / "c.json").write_text(
+        json.dumps({"normalize": {"charmap": "t.json"}}), encoding="utf-8"
+    )
+    (tmp_path / "t.json").write_text(json.dumps({"map": [["U+0041", "U+0043"]]}), encoding="utf-8")
+    _write(tmp_path / "in.jsonl", [Document(id="d", source="s", text="A x")])
+    monkeypatch.chdir(tmp_path)
+    io = ["--config", "conf/c.json", "--in", "in.jsonl", "--out", "o.jsonl"]
+    assert _forge("normalize", *io) == 0
+    assert read_jsonl(tmp_path / "o.jsonl")[0].text == "B x"
+    assert _forge("normalize", "--table", "t.json", *io) == 0
+    assert read_jsonl(tmp_path / "o.jsonl")[0].text == "C x"
+
+
 def test_report_round_trip(corpus_file: Path, tmp_path: Path, capsys):
     report = tmp_path / "rep.json"
     out = tmp_path / "o.jsonl"
@@ -354,15 +445,26 @@ def test_workers_flag_does_not_change_output(tmp_path: Path):
     assert outs[0] == outs[1]
 
 
-def test_wrong_typed_config_value_is_config_error(corpus_file: Path, tmp_path: Path, capsys):
+WRONG_TYPED_CONFIGS = [
+    (["run"], {"lang": {"threshold": "0.9"}}, "lang.threshold"),
+    (["lang", "--threshold", "0.9"], {"lang": 5}, "'lang'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,payload,named", WRONG_TYPED_CONFIGS, ids=[" ".join(a) for a, _, _ in WRONG_TYPED_CONFIGS]
+)
+def test_wrong_typed_config_value_is_config_error(
+    corpus_file: Path, tmp_path: Path, capsys, argv, payload, named
+):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lang": {"threshold": "0.9"}}), encoding="utf-8")
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
     code = _forge(
-        "run", "--config", str(cfg), "--in", str(corpus_file), "--out", str(tmp_path / "o.jsonl")
+        *argv, "--config", str(cfg), "--in", str(corpus_file), "--out", str(tmp_path / "o.jsonl")
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "lang.threshold" in err and "Traceback" not in err
+    assert named in err and "Traceback" not in err
 
 
 # Wrong-typed entries of a character table or a PII rule file, each given
@@ -511,6 +613,26 @@ def test_manifest_unknown_key_rejected(tmp_path: Path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"name": "x", "refs": "r.txt", "systems": {}}]), encoding="utf-8")
     assert _forge("compare", "--manifest", str(bad)) == 2
+
+
+_GOOD_SET = {"name": "devA", "refs_path": "refs1.txt", "systems": {"good": "good1.txt"}}
+WRONG_TYPED_MANIFESTS = [
+    {**_GOOD_SET, "systems": 5},
+    {**_GOOD_SET, "refs_path": 5},
+    {"sets": 5},
+    {**_GOOD_SET, "name": 5},
+    {**_GOOD_SET, "systems": {"good": 5}},
+    {"sets": [_GOOD_SET], "smoothing": []},
+]
+
+
+@pytest.mark.parametrize("payload", WRONG_TYPED_MANIFESTS, ids=[repr(p) for p in WRONG_TYPED_MANIFESTS])
+def test_wrong_typed_manifest_is_config_error(tmp_path: Path, capsys, payload):
+    _manifest(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    assert _forge("compare", "--manifest", str(bad)) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- logging

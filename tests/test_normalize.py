@@ -190,8 +190,6 @@ def test_split_preserves_token_multiset(n_tokens, target, rng):
 def test_split_config_validation():
     with pytest.raises(ConfigError):
         SplitConfig(target_tokens=0)
-    with pytest.raises(ConfigError):
-        SplitConfig(boundary_preference=("paragraph", "word"))
 
 
 # ------------------------------------------------------------- corpus wrappers

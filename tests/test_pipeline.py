@@ -237,12 +237,6 @@ def test_config_bad_json_names_path(tmp_path: Path):
         PipelineConfig.from_json(p)
 
 
-def test_with_workers():
-    cfg = PipelineConfig().with_workers(3)
-    assert cfg.workers == 3
-    assert PipelineConfig().workers is None
-
-
 def test_custom_charmap_standardizes_wordlists(tmp_path: Path):
     # stopword spelled with Arabic yeh still matches after normalization
     table = tmp_path / "map.json"

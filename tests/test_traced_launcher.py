@@ -1,0 +1,49 @@
+"""The benchmark's traced launcher, perfbench/tracing.py, still runs ``forge``.
+
+The launcher wraps module attributes of ``corpusforge`` by name; if one
+of them disappears, every traced benchmark run crashes. Each case runs
+the launcher in a fresh interpreter, as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import corpusforge
+from corpusforge.corpus import Corpus, Document, write_jsonl
+from corpusforge.dedup import DedupConfig, simhash, write_fingerprints
+
+LAUNCHER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+TEXT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت کا کی کے کو نے"
+COMMANDS = {
+    "run": ["run", "--workers", "1", "--in", "in.jsonl", "--out", "o.jsonl"],
+    "dedup": ["dedup", "--workers", "1", "--in", "in.jsonl", "--out", "o.jsonl",
+              "--fps-in", "seen.fps", "--fps-out", "new.fps"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_traced_launcher_runs_forge(tmp_path: Path, command: str):
+    docs = [Document(id=f"d{i}", source="s", text=f"{TEXT} {i % 3}") for i in range(6)]
+    write_jsonl(Corpus(docs), tmp_path / "in.jsonl")
+    write_fingerprints(tmp_path / "seen.fps", [("old", simhash(docs[0].text, DedupConfig()))])
+    # The child runs in tmp_path, where a relative PYTHONPATH no longer
+    # resolves; put the root of the package under test in front.
+    pythonpath = [str(Path(corpusforge.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath), FORGE_LOG="error")
+    proc = subprocess.run(
+        [sys.executable, str(LAUNCHER), "spans.json", *COMMANDS[command]],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
+    assert {"dedup.pass", "dedup.probe"} <= names
