@@ -299,6 +299,8 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
             raise ConfigError(f"manifest set {name!r}: refs_path must be a string")
         if not isinstance(systems, dict) or not all(isinstance(p, str) for p in systems.values()):
             raise ConfigError(f"manifest set {name!r}: systems must map names to path strings")
+        if not systems:
+            raise ConfigError(f"manifest set {name!r} defines no systems")
         refs = tuple(_read_lines(resolve(refs_path)))
         hyps = {system: tuple(_read_lines(resolve(p))) for system, p in systems.items()}
         sets.append(EvalSet(name=name, references=refs, hypotheses=hyps))

@@ -2,7 +2,9 @@
 
 A document's fingerprint hashes its character 4-shingles after removing
 every whitespace character, so re-wrapped or re-spaced copies collide
-exactly. Exact mode drops fingerprint-equal documents; near mode also
+exactly. Each shingle is hashed with a keyed 8-byte blake2b, and each of
+the 64 bits is set where most shingle hashes have it set. Sidecar files
+carry no hash version, so these values must never change. Exact mode drops fingerprint-equal documents; near mode also
 drops documents within a small Hamming distance. The first document in
 input order always wins.
 
@@ -18,6 +20,7 @@ existing collection.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -34,7 +37,9 @@ REASON_DUP_EMPTY = "dup_doc_empty"
 
 # Keyed hash fixes the fingerprint function; bump the tag if it changes.
 _HASH_KEY = b"simhash-v1"
-_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+# Keyed once; each shingle hashes a copy, which skips re-keying.
+_HASHER = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+_HEX16 = re.compile("[0-9a-f]{16}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,10 @@ class Fingerprint:
 
     @classmethod
     def from_hex(cls, s: str) -> "Fingerprint":
-        try:
-            return cls(int(s, 16))
-        except ValueError as exc:
-            raise DataError(f"bad fingerprint {s!r}") from exc
+        """Parse exactly the 16 lower-case hex digits that ``hex`` writes."""
+        if not _HEX16.fullmatch(s):
+            raise DataError(f"bad fingerprint {s!r}: expected 16 hex digits")
+        return cls(int(s, 16))
 
 
 @dataclass(frozen=True)
@@ -77,13 +82,6 @@ class DedupConfig:
             raise ConfigError(f"shingle_width must be >= 1, got {self.shingle_width}")
 
 
-def _shingle_hash(shingle: str) -> int:
-    digest = hashlib.blake2b(
-        shingle.encode("utf-8"), digest_size=8, key=_HASH_KEY
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
     """Fingerprint of the text's whitespace-free character shingles.
 
@@ -94,17 +92,16 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
     if not content:
         return Fingerprint(0)
     w = cfg.shingle_width
-    if len(content) <= w:
-        shingles = [content]
-    else:
-        shingles = [content[i : i + w] for i in range(len(content) - w + 1)]
-    hashes = np.fromiter(
-        (_shingle_hash(s) for s in shingles), dtype=np.uint64, count=len(shingles)
-    )
-    ones = ((hashes[:, None] >> _BIT_SHIFTS) & 1).sum(axis=0)
-    bits_arr = (2 * ones > len(shingles)).astype(np.uint64)
-    bits = int((bits_arr << _BIT_SHIFTS).sum())
-    return Fingerprint(bits)
+    n = max(len(content) - w + 1, 1)
+    digests = []
+    for i in range(n):
+        h = _HASHER.copy()
+        h.update(content[i : i + w].encode("utf-8"))
+        digests.append(h.digest())
+    # Row i holds shingle i's digest as 64 bits, most significant first.
+    bits = np.unpackbits(np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(n, 8), axis=1)
+    majority = 2 * bits.sum(axis=0) > n
+    return Fingerprint(int.from_bytes(np.packbits(majority).tobytes(), "big"))
 
 
 class DedupRegistry:
@@ -285,11 +282,11 @@ def read_fingerprints(path: str | Path) -> list[tuple[str, Fingerprint]]:
                     continue
                 try:
                     doc_id, hex_part = line.split("\t")
-                except ValueError as exc:
+                    pairs.append((doc_id, Fingerprint.from_hex(hex_part)))
+                except (ValueError, DataError) as exc:
                     raise DataError(
-                        f"{path}:{lineno}: expected 'id<TAB>hex', got {line!r}"
+                        f"{path}:{lineno}: expected 'id<TAB>hex16', got {line!r}"
                     ) from exc
-                pairs.append((doc_id, Fingerprint.from_hex(hex_part)))
     except OSError as exc:
         raise DataError(f"cannot read fingerprints {path}: {exc}") from exc
     return pairs

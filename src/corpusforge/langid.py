@@ -6,13 +6,17 @@ when a strict majority of its letter/digit codepoints fall inside the
 configured script ranges; tokens with no letters or digits (bare
 punctuation or symbols) are ignored. Latin text and ASCII numerals score
 toward 0, Urdu text and Extended Arabic-Indic numerals toward 1.
+
+Each token is mapped through ``str.translate`` to one mark per letter or
+digit. The map is built lazily, one codepoint at a time, and cached per
+set of script ranges, so start-up classifies nothing.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from ._parallel import pmap
 from .corpus import Corpus
@@ -49,23 +53,25 @@ class LangFilterConfig:
             prev_hi = hi
 
 
-def _in_ranges(cp: int, ranges: tuple[tuple[int, int], ...]) -> bool:
-    return any(lo <= cp <= hi for lo, hi in ranges)
+class _ScriptTable(dict):
+    """``str.translate`` map from a codepoint to "T" (target letter or digit),
+    "O" (other letter or digit) or None (ignored), filled on first sight."""
+
+    def __init__(self, ranges: tuple[tuple[int, int], ...]):
+        super().__init__()
+        self.ranges = ranges
+
+    def __missing__(self, cp: int) -> str | None:
+        mark = None
+        if unicodedata.category(chr(cp))[0] in "LN":
+            mark = "T" if any(lo <= cp <= hi for lo, hi in self.ranges) else "O"
+        self[cp] = mark
+        return mark
 
 
-def _classify_token(token: str, ranges: tuple[tuple[int, int], ...]) -> bool | None:
-    """True/False for target/non-target, None when not classifiable."""
-    total = 0
-    hits = 0
-    for ch in token:
-        cat = unicodedata.category(ch)
-        if cat[0] in ("L", "N"):
-            total += 1
-            if _in_ranges(ord(ch), ranges):
-                hits += 1
-    if total == 0:
-        return None
-    return 2 * hits > total
+@cache
+def _script_table(ranges: tuple[tuple[int, int], ...]) -> _ScriptTable:
+    return _ScriptTable(ranges)
 
 
 def score_language(text: str, cfg: LangFilterConfig = LangFilterConfig()) -> float:
@@ -73,15 +79,15 @@ def score_language(text: str, cfg: LangFilterConfig = LangFilterConfig()) -> flo
 
     Returns 0.0 when no token is classifiable.
     """
+    table = _script_table(cfg.script_ranges)
     target = 0
     classified = 0
     for token in text.split():
-        verdict = _classify_token(token, cfg.script_ranges)
-        if verdict is None:
-            continue
-        classified += 1
-        if verdict:
-            target += 1
+        marks = token.translate(table)
+        if marks:
+            classified += 1
+            if 2 * marks.count("T") > len(marks):
+                target += 1
     if classified == 0:
         return 0.0
     return target / classified

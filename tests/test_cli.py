@@ -623,6 +623,7 @@ WRONG_TYPED_MANIFESTS = [
     {**_GOOD_SET, "name": 5},
     {**_GOOD_SET, "systems": {"good": 5}},
     {"sets": [_GOOD_SET], "smoothing": []},
+    {**_GOOD_SET, "systems": {}},
 ]
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,8 +53,11 @@ def test_fingerprint_validation():
         Fingerprint(-1)
     with pytest.raises(DataError):
         Fingerprint(2**64)
-    with pytest.raises(DataError):
-        Fingerprint.from_hex("xyz")
+    # from_hex reads exactly the 16 lower-case hex digits that .hex writes.
+    for bad in ("xyz", "0x1f", "1_f", " 1f ", "+1f", "80dc1247", "80DC12471108B3A7",
+                "80dc12471108b3a7 ", "0x80dc12471108b3a7", "80dc_12471108b3a7", "080dc12471108b3a7"):
+        with pytest.raises(DataError):
+            Fingerprint.from_hex(bad)
 
 
 def test_dedup_config_validation():
@@ -115,6 +120,73 @@ def test_unrelated_docs_sit_far_apart():
     assert max(dists) == 43
     # near-dup threshold 3 never confuses unrelated documents here
     assert min(dists) > DedupConfig().hamming_threshold
+
+
+GOLDEN_FINGERPRINTS = {
+    "urdu": ("یہ ایک کتاب ہے اور وہ دریا کے پاس کھڑا تھا", 4, "ee81cfb886e88716"),
+    "latin": ("The quick brown fox jumps over the lazy dog", 4, "ec905b9d03c3b041"),
+    "shorter_than_width": ("کتا", 4, "e0f099d2de173ad3"),
+    "whitespace_only": (" \t\n\u3000 ", 4, "0000000000000000"),
+    "astral_letters": ("𐌰𐌱𐌲 گوتھک 𝐀𝐁", 4, "d5c73df69db31621"),
+    "width_1": ("دریا کے پاس 12 ۳۴", 1, "71aab50f4bba43d4"),
+    "width_8": ("Urdu اردو mixed with English, 2024!", 8, "3045a4945bf1eaa7"),
+}
+
+
+@pytest.mark.parametrize("text, width, expected", GOLDEN_FINGERPRINTS.values(), ids=GOLDEN_FINGERPRINTS)
+def test_fingerprint_values_are_pinned(text, width, expected):
+    """Fingerprint identity is the sidecar compatibility contract.
+
+    A sidecar line is only ``id<TAB>hex16``, with no hash version, so a
+    sidecar written before a change to ``simhash`` would still load and
+    then silently mis-dedup. These values must not move unless the
+    sidecar format gains a version that names the hash.
+    """
+    assert simhash(text, DedupConfig(shingle_width=width)).hex == expected
+
+
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
+def _shingle_hash(shingle: str) -> int:
+    digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8, key=b"simhash-v1").digest()
+    return int.from_bytes(digest, "big")
+
+
+def _reference_simhash(text: str, cfg: DedupConfig) -> Fingerprint:
+    """The per-shingle loop: a freshly keyed blake2b per shingle, summed
+    bit by bit over an n x 64 array."""
+    content = "".join(text.split())
+    if not content:
+        return Fingerprint(0)
+    w = cfg.shingle_width
+    if len(content) <= w:
+        shingles = [content]
+    else:
+        shingles = [content[i : i + w] for i in range(len(content) - w + 1)]
+    hashes = np.fromiter(
+        (_shingle_hash(s) for s in shingles), dtype=np.uint64, count=len(shingles)
+    )
+    ones = ((hashes[:, None] >> _BIT_SHIFTS) & 1).sum(axis=0)
+    bits_arr = (2 * ones > len(shingles)).astype(np.uint64)
+    return Fingerprint(int((bits_arr << _BIT_SHIFTS).sum()))
+
+
+# Urdu, Latin, digits, whitespace (also non-ASCII) and astral-plane letters.
+_MIXED_CHARS = list("اب کتہے") + list("abZ19") + [" ", "\n", "\t", "\u3000", "𐌰", "𝐀", "😀"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.one_of(
+        st.text(st.sampled_from(_MIXED_CHARS), max_size=14),
+        st.text(st.sampled_from(_MIXED_CHARS), min_size=40, max_size=200),
+    ),
+)
+def test_simhash_matches_per_shingle_reference(width, text):
+    cfg = DedupConfig(shingle_width=width)
+    assert simhash(text, cfg) == _reference_simhash(text, cfg)
 
 
 # ------------------------------------------------------------------ doc dedup
@@ -427,9 +499,11 @@ def test_fingerprint_file_rejects_bad_ids(tmp_path: Path):
 
 def test_fingerprint_file_bad_line_names_location(tmp_path: Path):
     p = tmp_path / "bad.fps"
-    p.write_text("a0\t80dc12471108b3a7\nbroken line\n", encoding="utf-8")
-    with pytest.raises(DataError, match="bad.fps:2"):
-        read_fingerprints(p)
+    for bad in ("broken line", "a1\t0x1f", "a1\t1_f", "a1\t 1f ", "a1\t+1f", "a1\t80dc1247",
+                "a1\t80dc12471108b3a7\tx", "a1\t80dc12471108b3a7 "):
+        p.write_text(f"a0\t80dc12471108b3a7\n{bad}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="bad.fps:2"):
+            read_fingerprints(p)
 
 
 def test_seeded_registry_drops_previously_seen(tmp_path: Path):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from corpusforge.corpus import Corpus, Document
 from corpusforge.errors import ConfigError
@@ -137,3 +139,61 @@ def test_score_monotone_in_target_tokens(n_ur, n_lat):
         bumped = score_language(" ".join(["کتاب"] * (n_ur + 1) + ["alpha"] * (n_lat - 1)))
         assert bumped >= base
     assert 0.0 <= base <= 1.0
+
+
+def _in_ranges(cp: int, ranges: tuple[tuple[int, int], ...]) -> bool:
+    return any(lo <= cp <= hi for lo, hi in ranges)
+
+
+def _classify_token(token: str, ranges: tuple[tuple[int, int], ...]) -> bool | None:
+    """True/False for target/non-target, None when not classifiable."""
+    total = 0
+    hits = 0
+    for ch in token:
+        cat = unicodedata.category(ch)
+        if cat[0] in ("L", "N"):
+            total += 1
+            if _in_ranges(ord(ch), ranges):
+                hits += 1
+    if total == 0:
+        return None
+    return 2 * hits > total
+
+
+def _reference_score(text: str, cfg: LangFilterConfig) -> float:
+    """Per-codepoint scoring through ``unicodedata``, token by token."""
+    target = 0
+    classified = 0
+    for token in text.split():
+        verdict = _classify_token(token, cfg.script_ranges)
+        if verdict is None:
+            continue
+        classified += 1
+        if verdict:
+            target += 1
+    if classified == 0:
+        return 0.0
+    return target / classified
+
+
+# Urdu letters, combining marks (U+064B, U+0670), presentation forms,
+# Extended Arabic-Indic and ASCII digits, punctuation, Latin, an astral
+# letter (Gothic U+10330), a lone surrogate and whitespace.
+_SCORING_CHARS = (
+    list("کتابہے") + ["\u064b", "\u0670"] + list("ﭐﹰﻼ") + list("۱۲۳") + list("12")
+    + list("،۔؟!.-") + list("abZ") + ["𐌰", "\ud800"] + [" ", "\n", "\u3000"]
+)
+# Two configs with different ranges, one of them astral, scored alternately
+# in one process, so a table cached under the wrong ranges shows.
+_SCORING_CFGS = (
+    LangFilterConfig(),
+    LangFilterConfig(script_ranges=((0x10330, 0x1034F), (0x0030, 0x0039))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from(_SCORING_CHARS), max_size=40), min_size=1, max_size=6))
+def test_score_matches_per_codepoint_reference(texts):
+    for text in texts:
+        for cfg in _SCORING_CFGS:
+            assert score_language(text, cfg) == _reference_score(text, cfg)
