@@ -2,11 +2,11 @@
 
 A document's fingerprint hashes its character 4-shingles after removing
 every whitespace character, so re-wrapped or re-spaced copies collide
-exactly. Each shingle is hashed with a keyed 8-byte blake2b, and each of
-the 64 bits is set where most shingle hashes have it set. Sidecar files
-carry no hash version, so these values must never change. Exact mode drops fingerprint-equal documents; near mode also
-drops documents within a small Hamming distance. The first document in
-input order always wins.
+exactly. Each shingle is hashed with a keyed 8-byte blake2b, and a bit
+of the fingerprint is set when most shingle hashes set it. Sidecars carry
+no hash version, so fingerprint values must never change. Exact mode
+drops fingerprint-equal documents; near mode also drops documents within
+a small Hamming distance. The first document in input order always wins.
 
 Duplicates are removed in three passes: within each source, across the
 whole corpus, then repeated lines inside each document. Each document is
@@ -20,7 +20,6 @@ existing collection.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -35,11 +34,10 @@ from .report import StageReport, rewrite_texts, run_stage
 REASON_DUP = "dup_doc"
 REASON_DUP_EMPTY = "dup_doc_empty"
 
-# Keyed hash fixes the fingerprint function; bump the tag if it changes.
+# Part of the fingerprint function, so sidecars depend on it.
 _HASH_KEY = b"simhash-v1"
 # Keyed once; each shingle hashes a copy, which skips re-keying.
 _HASHER = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
-_HEX16 = re.compile("[0-9a-f]{16}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class Fingerprint:
     @classmethod
     def from_hex(cls, s: str) -> "Fingerprint":
         """Parse exactly the 16 lower-case hex digits that ``hex`` writes."""
-        if not _HEX16.fullmatch(s):
+        if len(s) != 16 or s.strip("0123456789abcdef"):
             raise DataError(f"bad fingerprint {s!r}: expected 16 hex digits")
         return cls(int(s, 16))
 
@@ -266,7 +264,8 @@ def write_fingerprints(path: str | Path, pairs: list[tuple[str, Fingerprint]]) -
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         for doc_id, fp in pairs:
-            if "\t" in doc_id or "\n" in doc_id:
+            # A reader splits lines on "\r" too (universal newlines).
+            if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
                 raise DataError(f"document id {doc_id!r} cannot be stored in a sidecar")
             fh.write(f"{doc_id}\t{fp.hex}\n")
     tmp.replace(path)

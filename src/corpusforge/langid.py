@@ -6,10 +6,8 @@ when a strict majority of its letter/digit codepoints fall inside the
 configured script ranges; tokens with no letters or digits (bare
 punctuation or symbols) are ignored. Latin text and ASCII numerals score
 toward 0, Urdu text and Extended Arabic-Indic numerals toward 1.
-
-Each token is mapped through ``str.translate`` to one mark per letter or
-digit. The map is built lazily, one codepoint at a time, and cached per
-set of script ranges, so start-up classifies nothing.
+Tokens are classified through a ``str.translate`` map that is filled one
+codepoint at a time, on first sight, and cached per set of script ranges.
 """
 
 from __future__ import annotations

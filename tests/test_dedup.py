@@ -493,8 +493,9 @@ def test_fingerprint_file_roundtrip(tmp_path: Path):
 
 
 def test_fingerprint_file_rejects_bad_ids(tmp_path: Path):
-    with pytest.raises(DataError):
-        write_fingerprints(tmp_path / "x.fps", [("a\tb", Fingerprint(1))])
+    for bad in ("a\tb", "a\nb", "a\rb"):
+        with pytest.raises(DataError):
+            write_fingerprints(tmp_path / "x.fps", [(bad, Fingerprint(1))])
 
 
 def test_fingerprint_file_bad_line_names_location(tmp_path: Path):
