@@ -185,7 +185,7 @@ def _cmd_stages(args, staged) -> int:
 
 def _cmd_dedup(args, staged) -> int:
     cfg = _load_cfg(args)
-    if (args.fps_in or args.fps_out) and not cfg.dedup_overall:
+    if (args.fps_in or args.fps_out) and not cfg.dedup.overall:
         raise ConfigError(
             "--fps-in and --fps-out need the corpus-wide pass "
             "(drop --no-overall and dedup.overall=false)"
@@ -193,15 +193,7 @@ def _cmd_dedup(args, staged) -> int:
     registry = seed_registry(read_fingerprints(args.fps_in) if args.fps_in else [], cfg.dedup)
     seeded = len(registry)
     corpus, _ = ingest(_expand_inputs(args.inputs))
-    corpus, rep = dedup_pass(
-        corpus,
-        cfg.dedup,
-        per_source=cfg.dedup_per_source,
-        overall=cfg.dedup_overall,
-        lines=cfg.dedup_lines,
-        registry=registry,
-        workers=cfg.workers,
-    )
+    corpus, rep = dedup_pass(corpus, cfg.dedup, registry=registry, workers=cfg.workers)
     if args.fps_out:
         write_fingerprints(staged.path(args.fps_out), registry.pairs()[seeded:])
     _emit(args, staged, corpus, [rep])

@@ -8,13 +8,15 @@ no hash version, so fingerprint values must never change. Exact mode
 drops fingerprint-equal documents; near mode also drops documents within
 a small Hamming distance. The first document in input order always wins.
 
-Duplicates are removed in three passes: within each source, across the
-whole corpus, then repeated lines inside each document. Each document is
-fingerprinted once, from its line-deduped text (the text that is written),
-and both document passes share the fingerprints. Blank lines survive line
-dedup, since they mark paragraph breaks. The corpus-wide pass's registry
-can be saved to a sidecar file and reloaded to dedup new data against an
-existing collection.
+Duplicates are removed in three passes, each switched by a field of
+``DedupConfig``: within each source, across the whole corpus, then
+repeated lines inside each document. Each document is line-deduped once
+and fingerprinted once, from its line-deduped text (the text that is
+written); both document passes share the fingerprints and the line pass
+reuses the texts. Blank lines survive line dedup, since they mark
+paragraph breaks. The corpus-wide pass's registry can be saved to a
+sidecar file and reloaded to dedup new data against an existing
+collection.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class DedupConfig:
     mode: str = "exact"
     hamming_threshold: int = 3
     shingle_width: int = 4
+    # The passes of dedup_pass.
+    per_source: bool = True
+    overall: bool = True
+    lines: bool = True
 
     def __post_init__(self):
         if self.mode not in ("exact", "near"):
@@ -200,11 +206,17 @@ def dedup_lines(doc: Document) -> Document:
 
 
 def dedup_corpus_lines(
-    corpus: Corpus, workers: int | None = 1
+    corpus: Corpus, texts: list[str] | None = None
 ) -> tuple[Corpus, StageReport]:
+    """Remove repeated lines inside each document.
+
+    ``texts``, one line-deduped text per document in corpus order, skips
+    the line dedup when the caller already has them.
+    """
+
     def step(report: StageReport) -> Corpus:
-        out_docs = pmap(dedup_lines, list(corpus), workers)
-        return rewrite_texts(report, corpus, (d.text for d in out_docs))
+        new = texts if texts is not None else (dedup_lines(d).text for d in corpus)
+        return rewrite_texts(report, corpus, new)
 
     return run_stage("dedup_lines", corpus, step)
 
@@ -212,42 +224,42 @@ def dedup_corpus_lines(
 def dedup_pass(
     corpus: Corpus,
     cfg: DedupConfig = DedupConfig(),
-    per_source: bool = True,
-    overall: bool = True,
-    lines: bool = True,
     registry: DedupRegistry | None = None,
     workers: int | None = 1,
 ) -> tuple[Corpus, StageReport]:
-    """Per-source dedup, then corpus-wide dedup, then in-document lines.
+    """Per-source dedup, then corpus-wide dedup, then in-document lines,
+    each when its ``cfg`` switch is on.
 
-    Each input document is fingerprinted once, from its text as written
-    (line-deduped when ``lines`` is on), for both document passes; each
-    document the corpus-wide pass keeps adds one entry to ``registry``.
-    The aggregate report carries one sub-report per enabled pass; drops
-    appear under the pass that made them.
+    Each input document is line-deduped once (when ``cfg.lines`` is on)
+    and fingerprinted once, from that text as written, for both document
+    passes; the line pass takes the survivors' texts. Each document the
+    corpus-wide pass keeps adds one entry to ``registry``. The aggregate
+    report carries one sub-report per enabled pass; drops appear under
+    the pass that made them.
     """
 
     def step(report: StageReport) -> Corpus:
         out = corpus
-        if per_source or overall:
-            texts = [dedup_lines(d).text if lines else d.text for d in corpus]
+        texts = [dedup_lines(d).text if cfg.lines else d.text for d in corpus]
+        # Keyed by object, not id: ids need not be unique here.
+        text_of = dict(zip(map(id, corpus), texts))
+        if cfg.per_source or cfg.overall:
             fps = pmap(partial(simhash, cfg=cfg), texts, workers)
-            # Keyed by object, not id: ids need not be unique here.
-            fp_of = {id(doc): fp for doc, fp in zip(corpus, fps)}
-        if per_source:
+            fp_of = dict(zip(map(id, corpus), fps))
+        if cfg.per_source:
             out, sub = dedup_documents(
                 out, cfg, group_by_source=True, stage="dedup_per_source",
-                workers=workers, fingerprints=[fp_of[id(d)] for d in out],
+                fingerprints=[fp_of[id(d)] for d in out],
             )
             report.sub_reports.append(sub)
-        if overall:
+        if cfg.overall:
             out, sub = dedup_documents(
                 out, cfg, registry=registry, stage="dedup_overall",
-                workers=workers, fingerprints=[fp_of[id(d)] for d in out],
+                fingerprints=[fp_of[id(d)] for d in out],
             )
             report.sub_reports.append(sub)
-        if lines:
-            out, sub = dedup_corpus_lines(out, workers=workers)
+        if cfg.lines:
+            out, sub = dedup_corpus_lines(out, texts=[text_of[id(d)] for d in out])
             report.sub_reports.append(sub)
         for sub in report.sub_reports:
             for reason, n in sub.drop_reasons.items():
@@ -260,14 +272,14 @@ def dedup_pass(
 
 def write_fingerprints(path: str | Path, pairs: list[tuple[str, Fingerprint]]) -> None:
     """Write an "id<TAB>hex" line per fingerprint."""
+    for doc_id, _ in pairs:
+        # A reader splits lines on "\r" too (universal newlines).
+        if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
+            raise DataError(f"document id {doc_id!r} cannot be stored in a sidecar")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for doc_id, fp in pairs:
-            # A reader splits lines on "\r" too (universal newlines).
-            if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
-                raise DataError(f"document id {doc_id!r} cannot be stored in a sidecar")
-            fh.write(f"{doc_id}\t{fp.hex}\n")
+        fh.writelines(f"{doc_id}\t{fp.hex}\n" for doc_id, fp in pairs)
     tmp.replace(path)
 
 

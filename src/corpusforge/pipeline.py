@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from .corpus import Corpus, read_jsonl
-from .dedup import DedupConfig, DedupRegistry, dedup_pass
+from .dedup import DedupConfig, dedup_pass
 from .errors import ConfigError
 from .langid import LangFilterConfig, filter_language
 from .normalize import (
@@ -136,9 +136,6 @@ class PipelineConfig:
     pii_rules: PiiRuleSet | None = None
     dedup_enabled: bool = True
     dedup: DedupConfig = DedupConfig()
-    dedup_per_source: bool = True
-    dedup_overall: bool = True
-    dedup_lines: bool = True
     split_enabled: bool = True
     split: SplitConfig = SplitConfig()
     workers: int | None = None  # None = all available cores
@@ -194,10 +191,7 @@ class PipelineConfig:
                 pii_enabled=pii_sec.get("enabled", True),
                 pii_rules=pii_rules,
                 dedup_enabled=d_sec.get("enabled", True),
-                dedup=DedupConfig(**_pick(d_sec, "mode", "hamming_threshold", "shingle_width")),
-                dedup_per_source=d_sec.get("per_source", True),
-                dedup_overall=d_sec.get("overall", True),
-                dedup_lines=d_sec.get("lines", True),
+                dedup=DedupConfig(**{k: v for k, v in d_sec.items() if k != "enabled"}),
                 split_enabled=s_sec.get("enabled", True),
                 split=SplitConfig(**_pick(s_sec, "target_tokens", "sentence_end_chars")),
                 workers=workers,
@@ -228,7 +222,6 @@ def ingest(paths: list[str | Path]) -> tuple[Corpus, StageReport]:
 def run_pipeline(
     inputs: list[str | Path] | Corpus,
     cfg: PipelineConfig | None = None,
-    dedup_registry: DedupRegistry | None = None,
 ) -> tuple[Corpus, PipelineReport]:
     """Run every stage over the input files (or an in-memory corpus)."""
     if cfg is None:
@@ -250,15 +243,7 @@ def run_pipeline(
         ("quality_filter", cfg.quality_enabled,
          partial(filter_quality, cfg=cfg.quality, workers=w)),
         ("pii_scrub", cfg.pii_enabled, partial(scrub_corpus_pii, rules=cfg.pii_rules, workers=w)),
-        ("dedup", cfg.dedup_enabled, partial(
-            dedup_pass,
-            cfg=cfg.dedup,
-            per_source=cfg.dedup_per_source,
-            overall=cfg.dedup_overall,
-            lines=cfg.dedup_lines,
-            registry=dedup_registry,
-            workers=w,
-        )),
+        ("dedup", cfg.dedup_enabled, partial(dedup_pass, cfg=cfg.dedup, workers=w)),
         ("split", cfg.split_enabled, partial(split_corpus, cfg=cfg.split, workers=w)),
     )
     for name, enabled, call in chain:

@@ -358,7 +358,7 @@ def test_dedup_pass_proportions():
 
 def test_dedup_pass_toggles():
     corpus = _corpus(["ا ب", "ا  ب"])
-    kept, report = dedup_pass(corpus, per_source=False, overall=False, lines=False)
+    kept, report = dedup_pass(corpus, DedupConfig(per_source=False, overall=False, lines=False))
     assert len(kept) == 2
     assert report.sub_reports == []
     assert report.docs_dropped == 0
@@ -386,6 +386,30 @@ def test_dedup_pass_fingerprints_each_document_once(monkeypatch):
     kept, _ = dedup_pass(Corpus(web + news), workers=1)
     assert [d.id for d in kept] == ["w0", "w2"]
     assert len(calls) == len(web + news)
+
+
+def test_dedup_pass_line_dedups_each_document_once(monkeypatch):
+    line_calls, mapped = [], []
+
+    def counting_dedup_lines(doc):
+        line_calls.append(doc)
+        return dedup_lines(doc)
+
+    def recording_pmap(fn, items, workers=None):
+        mapped.append(getattr(fn, "func", fn))
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(dedup, "dedup_lines", counting_dedup_lines)
+    monkeypatch.setattr(dedup, "pmap", recording_pmap)
+    web = [Document(id=f"w{i}", source="web", text=t) for i, t in enumerate(["ا\nب\nا", "ا\nب", "د ہ و"])]
+    news = [Document(id="n0", source="news", text="ا\nب\n\nب"), Document(id="n1", source="news", text="ز ر")]
+    corpus = Corpus(web + news)
+    kept, report = dedup_pass(corpus, workers=2)
+    assert [d.id for d in kept] == ["w0", "w2", "n1"]
+    assert [d.text for d in kept] == ["ا\nب", "د ہ و", "ز ر"]
+    assert report.sub_reports[2].counters["docs_changed"] == 1
+    assert [id(d) for d in line_calls] == [id(d) for d in corpus]
+    assert mapped == [dedup.simhash]
 
 
 @pytest.mark.parametrize("mode", ["exact", "near"])
@@ -461,8 +485,8 @@ def _docs(draw):
 @settings(max_examples=100, deadline=None)
 @given(docs=_docs(), seeded=st.booleans(), passes=st.tuples(st.booleans(), st.booleans(), st.booleans()))
 def test_dedup_pass_matches_reference_composition(mode, docs, seeded, passes):
-    cfg = DedupConfig(mode=mode)
     per_source, overall, lines = passes
+    cfg = DedupConfig(mode=mode, per_source=per_source, overall=overall, lines=lines)
 
     def registry():
         if not seeded or not overall:
@@ -470,9 +494,7 @@ def test_dedup_pass_matches_reference_composition(mode, docs, seeded, passes):
         return seed_registry([("old", simhash(_BASES[0], cfg))], cfg)
 
     corpus = Corpus(docs)
-    kept, report = dedup_pass(
-        corpus, cfg, per_source=per_source, overall=overall, lines=lines, registry=registry()
-    )
+    kept, report = dedup_pass(corpus, cfg, registry=registry())
     ref_kept, ref_subs = _reference_dedup_pass(corpus, cfg, registry(), *passes)
     assert list(kept) == list(ref_kept)
     assert [_without_durations(s) for s in report.sub_reports] == [
@@ -494,8 +516,11 @@ def test_fingerprint_file_roundtrip(tmp_path: Path):
 
 def test_fingerprint_file_rejects_bad_ids(tmp_path: Path):
     for bad in ("a\tb", "a\nb", "a\rb"):
-        with pytest.raises(DataError):
-            write_fingerprints(tmp_path / "x.fps", [(bad, Fingerprint(1))])
+        for pairs in ([(bad, Fingerprint(1))], [("ok", Fingerprint(2)), (bad, Fingerprint(1))]):
+            with pytest.raises(DataError):
+                write_fingerprints(tmp_path / "x.fps", pairs)
+            # Neither the sidecar nor a partly written temp file is left.
+            assert list(tmp_path.iterdir()) == []
 
 
 def test_fingerprint_file_bad_line_names_location(tmp_path: Path):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from corpusforge.corpus import Corpus, Document, write_jsonl
+from corpusforge.dedup import DedupConfig
 from corpusforge.errors import ConfigError, CorpusError
 from corpusforge.pipeline import PipelineConfig, ingest, run_pipeline
 
@@ -201,6 +202,8 @@ def test_config_thresholds_applied():
     cfg = PipelineConfig.from_dict({"lang": {"threshold": 0.5}, "quality": {"stopword_threshold": 0.2}})
     assert cfg.lang.threshold == 0.5
     assert cfg.quality.stopword_threshold == 0.2
+    cfg = PipelineConfig.from_dict({"dedup": {"per_source": False, "overall": False, "lines": False}})
+    assert cfg.dedup == DedupConfig(per_source=False, overall=False, lines=False)
 
 
 def test_config_custom_ranges():

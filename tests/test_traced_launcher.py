@@ -46,4 +46,5 @@ def test_traced_launcher_runs_forge(tmp_path: Path, command: str):
     )
     assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
-    assert {"dedup.pass", "dedup.probe"} <= names
+    # Each pass span feeds a per-layer figure (dedup.per_source_s, ...).
+    assert {"dedup.pass", "dedup.per_source", "dedup.overall", "dedup.lines", "dedup.probe"} <= names
