@@ -195,7 +195,7 @@ def _cmd_dedup(args, staged) -> int:
     corpus, _ = ingest(_expand_inputs(args.inputs))
     corpus, rep = dedup_pass(corpus, cfg.dedup, registry=registry, workers=cfg.workers)
     if args.fps_out:
-        write_fingerprints(staged.path(args.fps_out), registry.pairs()[seeded:])
+        write_fingerprints(staged.path(args.fps_out), registry.pairs(start=seeded))
     _emit(args, staged, corpus, [rep])
     return 0
 

@@ -7,6 +7,9 @@ of the fingerprint is set when most shingle hashes set it. Sidecars carry
 no hash version, so fingerprint values must never change. Exact mode
 drops fingerprint-equal documents; near mode also drops documents within
 a small Hamming distance. The first document in input order always wins.
+A near-mode probe that misses the exact lookup compares the fingerprint
+with every kept one in a single numpy popcount pass, exact for any
+threshold from 0 to 64.
 
 Duplicates are removed in three passes, each switched by a field of
 ``DedupConfig``: within each source, across the whole corpus, then
@@ -22,6 +25,7 @@ collection.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -109,36 +113,58 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
 
 
 class DedupRegistry:
-    """Seen fingerprints with first-wins lookup."""
+    """Seen fingerprints with first-wins lookup.
+
+    Exact lookups go through a dict. Near mode also compares the probe
+    with every entry in one numpy pass over an array of the distinct
+    fingerprints in insertion order, so the first match along it is the
+    earliest kept document within the threshold.
+    """
 
     def __init__(self, cfg: DedupConfig):
         self.cfg = cfg
-        # Insertion order is first-seen order, so the near-mode scan
-        # returns the earliest match.
         self._exact: dict[int, str] = {}
+        # Entry i is the i-th distinct fingerprint added; _bits has spare
+        # capacity past len(_ids).
+        self._ids: list[str] = []
+        self._bits = np.empty(64, dtype=np.uint64)
 
     def probe(self, fp: Fingerprint) -> str | None:
-        """Id of the kept duplicate, or None if unseen."""
+        """Id of the kept duplicate, or None if unseen.
+
+        An exact match wins over an earlier entry within the threshold.
+        """
         hit = self._exact.get(fp.bits)
         if hit is not None:
             return hit
-        if self.cfg.mode == "near":
-            limit = self.cfg.hamming_threshold
-            for bits, doc_id in self._exact.items():
-                if (bits ^ fp.bits).bit_count() <= limit:
-                    return doc_id
+        if self.cfg.mode == "near" and self._ids:
+            dist = np.bitwise_count(self._bits[: len(self._ids)] ^ np.uint64(fp.bits))
+            near = dist <= self.cfg.hamming_threshold
+            first = int(near.argmax())
+            if near[first]:
+                return self._ids[first]
         return None
 
     def add(self, fp: Fingerprint, doc_id: str) -> None:
-        if fp.bits not in self._exact:
-            self._exact[fp.bits] = doc_id
+        if fp.bits in self._exact:
+            return
+        n = len(self._ids)
+        if n == len(self._bits):
+            grown = np.empty(2 * n, dtype=np.uint64)
+            grown[:n] = self._bits
+            self._bits = grown
+        self._bits[n] = fp.bits
+        self._ids.append(doc_id)
+        self._exact[fp.bits] = doc_id
 
     def __len__(self) -> int:
-        return len(self._exact)
+        return len(self._ids)
 
-    def pairs(self) -> list[tuple[str, Fingerprint]]:
-        """(id, fingerprint) of every entry, in insertion order."""
-        return [(doc_id, Fingerprint(bits)) for bits, doc_id in self._exact.items()]
+    def pairs(self, start: int = 0) -> list[tuple[str, Fingerprint]]:
+        """(id, fingerprint) of every entry from index ``start`` on, in
+        insertion order."""
+        bits = self._bits[start : len(self._ids)].tolist()
+        return [(doc_id, Fingerprint(b)) for doc_id, b in zip(self._ids[start:], bits)]
 
 
 def dedup_documents(
@@ -165,11 +191,14 @@ def dedup_documents(
         fps = fingerprints
         if fps is None:
             fps = pmap(partial(simhash, cfg=cfg), [d.text for d in corpus], workers)
-        registries: dict[str, DedupRegistry] = {}
-        shared = registry if registry is not None else DedupRegistry(cfg)
+        # One registry per source, built when the source first appears,
+        # or one shared registry under the key None.
+        registries: dict[str | None, DedupRegistry] = defaultdict(partial(DedupRegistry, cfg))
+        if registry is not None:
+            registries[None] = registry
         kept = []
         for doc, fp in zip(corpus, fps):
-            reg = registries.setdefault(doc.source, DedupRegistry(cfg)) if group_by_source else shared
+            reg = registries[doc.source if group_by_source else None]
             hit = reg.probe(fp)
             if hit is None:
                 reg.add(fp, doc.id)

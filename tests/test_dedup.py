@@ -15,6 +15,7 @@ from corpusforge.dedup import (
     REASON_DUP,
     REASON_DUP_EMPTY,
     DedupConfig,
+    DedupRegistry,
     Fingerprint,
     dedup_corpus_lines,
     dedup_documents,
@@ -500,6 +501,138 @@ def test_dedup_pass_matches_reference_composition(mode, docs, seeded, passes):
     assert [_without_durations(s) for s in report.sub_reports] == [
         _without_durations(s) for s in ref_subs
     ]
+
+
+# ------------------------------------------------------------------- registry
+
+
+def _reference_probe(entries: dict[int, str], fp: Fingerprint, cfg: DedupConfig) -> str | None:
+    """The linear probe: the exact entry, else in near mode the first entry
+    in insertion order within the threshold."""
+    hit = entries.get(fp.bits)
+    if hit is not None:
+        return hit
+    if cfg.mode == "near":
+        for bits, doc_id in entries.items():
+            if (bits ^ fp.bits).bit_count() <= cfg.hamming_threshold:
+                return doc_id
+    return None
+
+
+_TOP = (1 << 64) - 1
+_EDGE_BITS = [0, _TOP, 1 << 63, (1 << 63) - 1, (1 << 63) + 1, _TOP ^ 1]
+
+
+@st.composite
+def _registry_ops(draw):
+    """(is_add, bits) steps over random, clustered and edge fingerprints,
+    with repeats of bits already drawn."""
+    base = draw(st.integers(0, _TOP))
+    ops, seen = [], []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["random", "high", "cluster", "cluster", "edge", "repeat"]))
+        if kind == "random":
+            bits = draw(st.integers(0, _TOP))
+        elif kind == "high":
+            bits = draw(st.integers(1 << 63, _TOP))
+        elif kind == "cluster":
+            flips = draw(st.lists(st.integers(0, 63), max_size=6))
+            bits = base
+            for b in flips:
+                bits ^= 1 << b
+        elif kind == "edge":
+            bits = draw(st.sampled_from(_EDGE_BITS))
+        else:
+            bits = draw(st.sampled_from(seen)) if seen else base
+        seen.append(bits)
+        ops.append((draw(st.booleans()), bits))
+    return ops
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mode=st.sampled_from(["exact", "near"]),
+    threshold=st.one_of(st.integers(0, 64), st.sampled_from([0, 1, 2, 3, 63, 64])),
+    ops=_registry_ops(),
+)
+def test_registry_probe_matches_linear_reference(mode, threshold, ops):
+    cfg = DedupConfig(mode=mode, hamming_threshold=threshold)
+    registry, entries = DedupRegistry(cfg), {}
+    for i, (is_add, bits) in enumerate(ops):
+        fp = Fingerprint(bits)
+        assert registry.probe(fp) == _reference_probe(entries, fp, cfg)
+        if is_add:
+            registry.add(fp, f"d{i}")
+            entries.setdefault(bits, f"d{i}")
+        assert len(registry) == len(entries)
+    expected = [(doc_id, Fingerprint(bits)) for bits, doc_id in entries.items()]
+    assert registry.pairs() == expected
+    for start in (0, len(expected) // 2, len(expected), len(expected) + 1):
+        assert registry.pairs(start=start) == expected[start:]
+
+
+def test_registry_exact_hit_beats_earlier_near_entry():
+    registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=3))
+    registry.add(Fingerprint(0b1010_0001), "near")
+    registry.add(Fingerprint(0b1010_0000), "exact")
+    assert registry.probe(Fingerprint(0b1010_0000)) == "exact"
+
+
+def test_registry_earliest_near_hit_wins():
+    registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=3))
+    probe = 1 << 63
+    # The earliest entry within the threshold is the farthest from the probe.
+    registry.add(Fingerprint(probe ^ 0b1111), "far")
+    registry.add(Fingerprint(probe ^ 0b0111), "first")
+    registry.add(Fingerprint(probe ^ 0b0001), "closest")
+    registry.add(Fingerprint(probe ^ 0b0010), "later")
+    assert registry.probe(Fingerprint(probe)) == "first"
+
+
+def test_registry_readding_bits_keeps_the_first_id():
+    registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=2))
+    registry.add(Fingerprint(0b100), "a")
+    registry.add(Fingerprint(0b111), "b")
+    before = registry.probe(Fingerprint(0b101))
+    registry.add(Fingerprint(0b100), "c")
+    registry.add(Fingerprint(0b111), "d")
+    assert len(registry) == 2
+    assert registry.probe(Fingerprint(0b100)) == "a"
+    assert registry.probe(Fingerprint(0b101)) == before == "a"
+    assert registry.pairs() == [("a", Fingerprint(0b100)), ("b", Fingerprint(0b111))]
+
+
+def test_registry_grows_past_its_initial_capacity():
+    registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=1))
+    for i in range(1000):
+        registry.add(Fingerprint(i << 8), f"d{i}")
+    assert len(registry) == 1000
+    for i in (0, 1, 63, 64, 500, 999):
+        assert registry.probe(Fingerprint((i << 8) | 1)) == f"d{i}"
+    assert registry.pairs() == [(f"d{i}", Fingerprint(i << 8)) for i in range(1000)]
+    assert registry.pairs(start=998) == [("d998", Fingerprint(998 << 8)), ("d999", Fingerprint(999 << 8))]
+
+
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_dedup_documents_builds_one_registry_per_source(monkeypatch, mode):
+    built = []
+    init = DedupRegistry.__init__
+
+    def counting_init(self, cfg):
+        built.append(cfg)
+        init(self, cfg)
+
+    monkeypatch.setattr(DedupRegistry, "__init__", counting_init)
+    docs = [
+        Document(id=f"d{i}", source=src, text=f"{src} {i % 2}")
+        for i, src in enumerate(["web", "news", "web", "books", "web", "news", "news"])
+    ]
+    kept, _ = dedup_documents(Corpus(docs), DedupConfig(mode=mode), group_by_source=True)
+    assert len(built) == 3
+    assert [d.id for d in kept] == ["d0", "d1", "d3", "d6"]
+    built.clear()
+    dedup_documents(Corpus(docs), DedupConfig(mode=mode))
+    assert len(built) == 1
 
 
 # ------------------------------------------------------------------- sidecars
