@@ -8,8 +8,8 @@ no hash version, so fingerprint values must never change. Exact mode
 drops fingerprint-equal documents; near mode also drops documents within
 a small Hamming distance. The first document in input order always wins.
 A near-mode probe that misses the exact lookup compares the fingerprint
-with every kept one in a single numpy popcount pass, exact for any
-threshold from 0 to 64.
+with every kept one in a single numpy popcount pass and takes the
+earliest kept one within the threshold.
 
 Duplicates are removed in three passes, each switched by a field of
 ``DedupConfig``: within each source, across the whole corpus, then
