@@ -10,7 +10,7 @@ worker count.
 
 from .corpus import Corpus, Document, count_tokens, read_jsonl, write_jsonl
 from .dedup import DedupConfig, Fingerprint, dedup_pass, simhash
-from .errors import ConfigError, CorpusError, DataError, ForgeError, StageError
+from .errors import ConfigError, CorpusError, DataError, ForgeError
 from .langid import LangFilterConfig, filter_language, score_language
 from .mteval import BleuResult, EvalSet, compare_systems, corpus_bleu
 from .normalize import (
@@ -51,7 +51,6 @@ __all__ = [
     "PipelineReport",
     "QualityConfig",
     "SplitConfig",
-    "StageError",
     "StageReport",
     "compare_systems",
     "corpus_bleu",

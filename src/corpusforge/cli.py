@@ -36,7 +36,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import Corpus, dump_jsonl, write_jsonl
+from .corpus import Corpus, dump_jsonl, read_input, read_json_input, write_jsonl
 from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints
 from .errors import ConfigError, DataError, ForgeError
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
@@ -50,16 +50,17 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 
 def _setup_logging() -> None:
     name = os.environ.get("FORGE_LOG", "info").lower()
+    # Configured before the check, so a bad value is logged like any error.
+    logging.basicConfig(
+        stream=sys.stderr,
+        level=_LOG_LEVELS.get(name, logging.INFO),
+        format="%(levelname)s %(name)s: %(message)s",
+        force=True,
+    )
     if name not in _LOG_LEVELS:
         raise ConfigError(
             f"FORGE_LOG must be one of {sorted(_LOG_LEVELS)}, got {name!r}"
         )
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=_LOG_LEVELS[name],
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
 
 
 class _StagedOutputs:
@@ -135,12 +136,8 @@ def _load_cfg(args) -> PipelineConfig:
     return PipelineConfig.from_dict(data, base_dir=base_dir)
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return text.splitlines()
+def _read_lines(path: str | Path, what: str) -> tuple[str, ...]:
+    return tuple(read_input(path, what, DataError).splitlines())
 
 
 def _log_stages(*reports) -> None:
@@ -212,16 +209,7 @@ def _cmd_run(args, staged) -> int:
 
 
 def _cmd_report(args, staged) -> int:
-    try:
-        with open(args.report_file, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read report {args.report_file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(
-            f"report {args.report_file} is not valid JSON: {exc}"
-        ) from exc
-    report = PipelineReport.from_dict(data)
+    report = PipelineReport.from_dict(read_json_input(args.report_file, "report", DataError))
     print(render_report(report, fmt=args.format))
     return 0
 
@@ -239,14 +227,7 @@ def _parse_hyp(spec: str) -> tuple[str, str]:
 def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
     """Manifest: a {name, refs_path, systems} object, an array of them, or
     {"sets": [...], "smoothing": ...}. Paths resolve relative to the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
-
+    data = read_json_input(path, "manifest")
     smoothing = None
     if isinstance(data, list):
         entries = data
@@ -293,8 +274,8 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
             raise ConfigError(f"manifest set {name!r}: systems must map names to path strings")
         if not systems:
             raise ConfigError(f"manifest set {name!r} defines no systems")
-        refs = tuple(_read_lines(resolve(refs_path)))
-        hyps = {system: tuple(_read_lines(resolve(p))) for system, p in systems.items()}
+        refs = _read_lines(resolve(refs_path), "references")
+        hyps = {system: _read_lines(resolve(p), "system output") for system, p in systems.items()}
         sets.append(EvalSet(name=name, references=refs, hypotheses=hyps))
     if not sets:
         raise ConfigError(f"manifest {path} defines no sets")
@@ -310,13 +291,13 @@ def _eval_sets_from_args(args) -> tuple[list[EvalSet], str]:
         return sets, smoothing
     if not args.refs or not args.hyp:
         raise ConfigError("need --refs and at least one --hyp (or --manifest)")
-    refs = tuple(_read_lines(args.refs))
+    refs = _read_lines(args.refs, "references")
     hyps: dict[str, tuple[str, ...]] = {}
     for spec in args.hyp:
         name, hyp_path = _parse_hyp(spec)
         if name in hyps:
             raise ConfigError(f"duplicate system name {name!r}")
-        hyps[name] = tuple(_read_lines(hyp_path))
+        hyps[name] = _read_lines(hyp_path, "system output")
     smoothing = args.smoothing or "epsilon"
     return [EvalSet(name=Path(args.refs).stem, references=refs, hypotheses=hyps)], smoothing
 
@@ -447,43 +428,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        _setup_logging()
-    except ConfigError as exc:
-        print(f"forge: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
     staged = _StagedOutputs()
     try:
+        _setup_logging()
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage error, --help or --version
+            return 0 if exc.code in (0, None) else int(exc.code)
         code = args.func(args, staged)
         if code == 0:
             staged.commit()
-        else:
-            staged.discard()
-        return code
-    except ConfigError as exc:
-        staged.discard()
+    except (ForgeError, OSError) as exc:
         log.error("%s", exc)
-        return 2
-    except DataError as exc:
-        staged.discard()
-        log.error("%s", exc)
-        return 3
-    except ForgeError as exc:
-        staged.discard()
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
-        staged.discard()
-        log.error("%s", exc)
-        return 3
-    except Exception:
-        staged.discard()
-        raise
+        code = 3 if isinstance(exc, (DataError, OSError)) else 2
+    finally:
+        staged.discard()  # whatever a failed command staged
+    return code
 
 
 def console_main() -> None:

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .errors import CorpusError
+from .errors import ConfigError, CorpusError, ForgeError
 
 # JSONL field order is fixed so serialization is byte-stable.
 _FIELD_ORDER = ("id", "source", "text", "meta", "token_count")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def whitespace_tokens(text: str) -> list[str]:
@@ -33,9 +35,29 @@ def count_tokens(text: str) -> int:
 
 def _strip_surrogates(text: str) -> str:
     """Drop unpaired UTF-16 surrogate codepoints left over from JSON escapes."""
-    if any("\ud800" <= ch <= "\udfff" for ch in text):
-        return "".join(ch for ch in text if not "\ud800" <= ch <= "\udfff")
-    return text
+    return _SURROGATE_RE.sub("", text)
+
+
+def read_input(path: str | Path, what: str, error: type[ForgeError] = ConfigError) -> str:
+    """The UTF-8 text of a non-corpus input file (universal newlines).
+
+    A file that cannot be opened or decoded raises ``error`` naming the
+    file as ``what``: ConfigError for config-like files, DataError for data.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json_input(path: str | Path, what: str, error: type[ForgeError] = ConfigError):
+    """The JSON value in an input file; any failure raises ``error`` (see
+    ``read_input``)."""
+    text = read_input(path, what, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -80,13 +102,6 @@ class Corpus:
     @property
     def total_tokens(self) -> int:
         return sum(d.token_count for d in self.docs)
-
-    def source_counts(self) -> dict[str, int]:
-        """Documents per source tag, in order of first appearance."""
-        counts: dict[str, int] = {}
-        for d in self.docs:
-            counts[d.source] = counts.get(d.source, 0) + 1
-        return counts
 
     def source_tokens(self) -> dict[str, int]:
         """Token totals per source tag, in order of first appearance."""

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import pmap
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, read_input
 from .errors import ConfigError, DataError
 from .report import StageReport, rewrite_texts, run_stage
 
@@ -313,22 +313,18 @@ def write_fingerprints(path: str | Path, pairs: list[tuple[str, Fingerprint]]) -
 
 
 def read_fingerprints(path: str | Path) -> list[tuple[str, Fingerprint]]:
+    text = read_input(path, "fingerprints", DataError)
     pairs = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    doc_id, hex_part = line.split("\t")
-                    pairs.append((doc_id, Fingerprint.from_hex(hex_part)))
-                except (ValueError, DataError) as exc:
-                    raise DataError(
-                        f"{path}:{lineno}: expected 'id<TAB>hex16', got {line!r}"
-                    ) from exc
-    except OSError as exc:
-        raise DataError(f"cannot read fingerprints {path}: {exc}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        try:
+            doc_id, hex_part = line.split("\t")
+            pairs.append((doc_id, Fingerprint.from_hex(hex_part)))
+        except (ValueError, DataError) as exc:
+            raise DataError(
+                f"{path}:{lineno}: expected 'id<TAB>hex16', got {line!r}"
+            ) from exc
     return pairs
 
 

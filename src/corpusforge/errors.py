@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-ConfigError maps to CLI exit code 2, DataError (and subclasses) to exit
-code 3.
+ConfigError (and any other ForgeError) maps to CLI exit code 2,
+DataError (and subclasses) to exit code 3.
 """
 
 from __future__ import annotations
@@ -21,13 +21,3 @@ class DataError(ForgeError):
 
 class CorpusError(DataError):
     """Malformed corpus input (bad JSONL line, duplicate ids, ...)."""
-
-
-class StageError(DataError):
-    """A pipeline stage failed on a specific document."""
-
-    def __init__(self, stage: str, message: str, doc_id: str | None = None):
-        self.stage = stage
-        self.doc_id = doc_id
-        where = f"stage {stage!r}" + (f", document {doc_id!r}" if doc_id else "")
-        super().__init__(f"{where}: {message}")

@@ -18,7 +18,7 @@ from functools import cache, partial
 
 from ._parallel import pmap
 from .corpus import Corpus
-from .errors import ConfigError, StageError
+from .errors import ConfigError
 from .report import StageReport, keep_or_drop, run_stage
 
 # Arabic script blocks used by Urdu, including presentation forms.
@@ -99,10 +99,7 @@ def filter_language(
     """Keep documents scoring at or above the threshold, in input order."""
 
     def step(report: StageReport) -> Corpus:
-        try:
-            scores = pmap(partial(score_language, cfg=cfg), [d.text for d in corpus], workers)
-        except Exception as exc:  # pragma: no cover - scoring is total on str input
-            raise StageError("lang_filter", str(exc)) from exc
+        scores = pmap(partial(score_language, cfg=cfg), [d.text for d in corpus], workers)
         reasons = (None if s >= cfg.threshold else DROP_BELOW_THRESHOLD for s in scores)
         return keep_or_drop(report, corpus, reasons)
 

@@ -24,8 +24,8 @@ from importlib import resources
 from pathlib import Path
 
 from ._parallel import pmap
-from .corpus import Corpus, Document
-from .errors import ConfigError, StageError
+from .corpus import Corpus, Document, read_json_input
+from .errors import ConfigError
 from .report import StageReport, rewrite_texts, run_stage
 
 _CP_RE = re.compile(r"^U\+([0-9A-Fa-f]{4,6})$")
@@ -111,14 +111,7 @@ class CharMapTable:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CharMapTable":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read charmap table {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"charmap table {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_input(path, "charmap table"))
 
 
 @lru_cache(maxsize=1)
@@ -243,10 +236,7 @@ def split_corpus(
     """Split every over-length document; short documents pass through."""
 
     def step(report: StageReport) -> Corpus:
-        try:
-            piece_lists = pmap(partial(split_document, cfg=cfg), list(corpus), workers)
-        except Exception as exc:
-            raise StageError("split", str(exc)) from exc
+        piece_lists = pmap(partial(split_document, cfg=cfg), list(corpus), workers)
         report.counters["docs_split"] = sum(1 for pieces in piece_lists if len(pieces) > 1)
         return Corpus([doc for pieces in piece_lists for doc in pieces])
 

@@ -15,12 +15,11 @@ affect output, and input files are processed in the order given.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .corpus import Corpus, read_jsonl
+from .corpus import Corpus, read_json_input, read_jsonl
 from .dedup import DedupConfig, dedup_pass
 from .errors import ConfigError
 from .langid import LangFilterConfig, filter_language
@@ -105,13 +104,7 @@ def _pick(section: dict, *keys: str) -> dict:
 
 def read_config(path: str | Path) -> dict:
     """The JSON object in a pipeline config file, not yet checked."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    data = read_json_input(path, "config")
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return data

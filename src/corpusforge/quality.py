@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._parallel import pmap
-from .corpus import Corpus
+from .corpus import Corpus, read_input, read_json_input
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, rewrite_texts, run_stage
 
@@ -33,21 +33,12 @@ _REPLACEMENT_RE = re.compile(r"^<PII:[A-Z_]+>$")
 _NAME_RE = re.compile(r"^[A-Z][A-Z_]*$")
 
 
-def load_wordlist(path: str | Path, table=None) -> frozenset[str]:
-    """Read one word per line, skipping blanks and ``#`` comments.
-
-    Words are lowercased; when a character table is given each word is
-    standardized with it so the list matches standardized text.
-    """
+def _parse_wordlist(text: str, table=None) -> frozenset[str]:
+    """The words of a word list's text (see ``load_wordlist``)."""
     from .normalize import standardize
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read wordlist {path}: {exc}") from exc
     words = set()
-    for line in lines:
+    for line in text.splitlines():
         word = line.strip()
         if not word or word.startswith("#"):
             continue
@@ -58,15 +49,19 @@ def load_wordlist(path: str | Path, table=None) -> frozenset[str]:
     return frozenset(words)
 
 
+def load_wordlist(path: str | Path, table=None) -> frozenset[str]:
+    """Read one word per line, skipping blanks and ``#`` comments.
+
+    Words are lowercased; when a character table is given each word is
+    standardized with it so the list matches standardized text.
+    """
+    return _parse_wordlist(read_input(path, "wordlist"), table)
+
+
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     data = resources.files("corpusforge.data").joinpath("urdu_stopwords.txt")
-    words = set()
-    for line in data.read_text(encoding="utf-8").splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            words.add(word.lower())
-    return frozenset(words)
+    return _parse_wordlist(data.read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -198,14 +193,7 @@ class PiiRuleSet:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PiiRuleSet":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read PII rules {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"PII rules {path} is not valid JSON: {exc}") from exc
-        return cls.from_data(data)
+        return cls.from_data(read_json_input(path, "PII rules"))
 
 
 @lru_cache(maxsize=1)

@@ -636,6 +636,51 @@ def test_wrong_typed_manifest_is_config_error(tmp_path: Path, capsys, payload):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# Every input file besides the corpus, each read by one command line with
+# {bad} for the unreadable file: (case, argv, exit code, is the file JSON?).
+# Config-like files exit 2, data files 3.
+_IO = ["--in", "{corpus}", "--out", "{d}/o.jsonl"]
+UNREADABLE_INPUTS = [
+    ("--config", ["run", "--config", "{bad}", *_IO], 2, True),
+    ("--table", ["normalize", "--table", "{bad}", *_IO], 2, True),
+    ("--pii", ["quality", "--pii", "{bad}", *_IO], 2, True),
+    ("--stopwords", ["quality", "--stopwords", "{bad}", *_IO], 2, False),
+    ("--flagged", ["quality", "--flagged", "{bad}", *_IO], 2, False),
+    ("--manifest", ["compare", "--manifest", "{bad}"], 2, True),
+    ("refs_path", ["compare", "--manifest", "{d}/refs_bad.json"], 3, False),
+    ("systems", ["compare", "--manifest", "{d}/system_bad.json"], 3, False),
+    ("--refs", ["bleu", "--refs", "{bad}", "--hyp", "{d}/good1.txt"], 3, False),
+    ("--hyp", ["bleu", "--refs", "{d}/refs1.txt", "--hyp", "{bad}"], 3, False),
+    ("--fps-in", ["dedup", "--fps-in", "{bad}", *_IO], 3, False),
+    ("report", ["report", "{bad}"], 3, True),
+]
+UNREADABLE_CASES = [
+    (f"{case}-{kind}", argv, code, content)
+    for case, argv, code, is_json in UNREADABLE_INPUTS
+    for kind, content in [("not-utf8", b"ok\n\xff\xfe\n"), ("not-json", b"{not json\n")]
+    if is_json or kind == "not-utf8"
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,content", [c[1:] for c in UNREADABLE_CASES], ids=[c[0] for c in UNREADABLE_CASES]
+)
+def test_unreadable_input_file_is_named_and_exits_2_or_3(
+    corpus_file: Path, tmp_path: Path, capsys, argv, code, content
+):
+    _manifest(tmp_path)
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(content)
+    for name, key, value in (("refs_bad.json", "refs_path", "bad.in"),
+                             ("system_bad.json", "systems", {"good": "bad.in"})):
+        (tmp_path / name).write_text(json.dumps({**_GOOD_SET, key: value}), encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    assert _forge(*(a.format(bad=bad, corpus=corpus_file, d=tmp_path) for a in argv)) == code
+    out, err = capsys.readouterr()
+    assert str(bad) in err and "Traceback" not in err
+    assert out == "" and sorted(tmp_path.iterdir()) == before
+
+
 # ----------------------------------------------------------------- logging
 
 

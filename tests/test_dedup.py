@@ -665,6 +665,13 @@ def test_fingerprint_file_bad_line_names_location(tmp_path: Path):
             read_fingerprints(p)
 
 
+def test_fingerprint_file_not_utf8_is_data_error(tmp_path: Path):
+    p = tmp_path / "bad.fps"
+    p.write_bytes(b"a0\t80dc12471108b3a7\na\xff1\t80dc12471108b3a7\n")
+    with pytest.raises(DataError, match="bad.fps"):
+        read_fingerprints(p)
+
+
 def test_seeded_registry_drops_previously_seen(tmp_path: Path):
     cfg = DedupConfig()
     old = _corpus(["پرانا متن ایک", "پرانا متن دو"], source="old")

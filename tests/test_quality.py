@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,36 @@ def test_duplicate_rule_names_rejected():
     r = PiiRule(name="A", pattern="x", replacement="<PII:A>")
     with pytest.raises(ConfigError):
         PiiRuleSet(rules=(r, r))
+
+
+# The default PHONE and ID patterns before their leading lookaheads, which
+# only let the regex engine skip positions where no match can start.
+_PATTERNS_WITHOUT_LOOKAHEAD = {
+    "PHONE": r"(?<![\d.-])(?:(?:\+|00)\d{1,3}[ \t-]{0,3}\d{2,4}[ \t-]{0,3}\d{3,4}"
+    r"(?:[ \t-]{0,3}\d{2,5})?|\(0\d{2,4}\)[ \t-]{0,3}\d{6,8}|0\d{2,4}[ \t-]{0,3}\d{6,8})"
+    r"(?![\d.-])",
+    "ID": r"\b\d{5}-\d{7}-\d\b|(?<!\d)\d{13}(?!\d)",
+}
+_DIGIT_RUNS = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=14),
+    st.text(alphabet="۰۱۲۳۴۵۶۷۸۹", min_size=1, max_size=14),
+)
+_PII_PIECES = st.one_of(
+    _DIGIT_RUNS,
+    st.sampled_from([" ", "\t", "-", "--", "+", "(", ")", ".", ",", "۔", "0", "00", "x", "ا"]),
+    st.sampled_from(
+        ["+92 321 4567890", "0300-1234567", "(042) 35761234", "35202-1234567-1",
+         "3520212345671", "۰۳۰۰-۱۲۳۴۵۶۷", "۳۵۲۰۲-۱۲۳۴۵۶۷-۱"]
+    ),
+)
+
+
+@given(st.lists(_PII_PIECES, max_size=12).map("".join))
+def test_default_pii_lookaheads_change_no_match(text: str):
+    for rule in default_pii_rules().rules:
+        if rule.name in _PATTERNS_WITHOUT_LOOKAHEAD:
+            old = re.compile(_PATTERNS_WITHOUT_LOOKAHEAD[rule.name])
+            assert rule.regex.subn(rule.replacement, text) == old.subn(rule.replacement, text)
 
 
 def test_default_rules_are_idempotent_by_construction():
