@@ -36,7 +36,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import Corpus, dump_jsonl, read_input, read_json_input, write_jsonl
+from .corpus import Corpus, check_object, dump_jsonl, read_input, read_json_input, write_jsonl
 from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints
 from .errors import ConfigError, DataError, ForgeError
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
@@ -228,23 +228,14 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
     """Manifest: a {name, refs_path, systems} object, an array of them, or
     {"sets": [...], "smoothing": ...}. Paths resolve relative to the file."""
     data = read_json_input(path, "manifest")
-    smoothing = None
     if isinstance(data, list):
-        entries = data
-    elif isinstance(data, dict) and "sets" in data:
-        unknown = set(data) - {"sets", "smoothing"}
-        if unknown:
-            raise ConfigError(f"unknown manifest key(s) {sorted(unknown)}")
-        entries = data["sets"]
-        if not isinstance(entries, list):
-            raise ConfigError(f"manifest {path}: 'sets' must be an array")
-        smoothing = data.get("smoothing")
-        if smoothing is not None and smoothing not in SMOOTHINGS:
-            raise ConfigError(f"manifest smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
-    elif isinstance(data, dict):
-        entries = [data]
-    else:
-        raise ConfigError(f"manifest {path} must be a JSON object or array")
+        data = {"sets": data}
+    elif not (isinstance(data, dict) and "sets" in data):
+        data = {"sets": [data]}
+    check_object(data, "manifest", {"sets": list, "smoothing": (str, type(None))})
+    smoothing = data.get("smoothing")
+    if smoothing is not None and smoothing not in SMOOTHINGS:
+        raise ConfigError(f"manifest smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
 
     base = Path(path).parent
 
@@ -253,25 +244,14 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
         return q if q.is_absolute() else base / q
 
     sets = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError("each manifest set must be an object")
-        unknown = set(entry) - {"name", "refs_path", "systems"}
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) {sorted(unknown)} in manifest set "
-                f"{entry.get('name', '?')!r}"
-            )
-        missing = {"name", "refs_path", "systems"} - set(entry)
-        if missing:
-            raise ConfigError(f"manifest set is missing key(s) {sorted(missing)}")
-        name, refs_path, systems = entry["name"], entry["refs_path"], entry["systems"]
-        if not isinstance(name, str) or not name:
+    types = {"name": str, "refs_path": str, "systems": dict}
+    for i, entry in enumerate(data["sets"]):
+        what = f"manifest.sets[{i}]"
+        check_object(entry, what, types, required=types)
+        name, refs_path, systems = (entry[key] for key in types)
+        if not name:
             raise ConfigError(f"manifest set name must be a non-empty string, got {name!r}")
-        if not isinstance(refs_path, str):
-            raise ConfigError(f"manifest set {name!r}: refs_path must be a string")
-        if not isinstance(systems, dict) or not all(isinstance(p, str) for p in systems.values()):
-            raise ConfigError(f"manifest set {name!r}: systems must map names to path strings")
+        check_object(systems, f"{what}.systems", dict.fromkeys(systems, str))
         if not systems:
             raise ConfigError(f"manifest set {name!r} defines no systems")
         refs = _read_lines(resolve(refs_path), "references")

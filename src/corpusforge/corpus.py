@@ -4,6 +4,9 @@ A corpus is an ordered sequence of immutable Document records exchanged
 as JSON Lines (UTF-8, one object per line, LF endings). Token counts are
 whitespace-token counts throughout: every stage and report counts the same
 way.
+
+Other input files are read by ``read_input`` (``read_json_input`` for JSON),
+and each JSON object in them is checked by ``check_object``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -41,23 +45,83 @@ def _strip_surrogates(text: str) -> str:
 def read_input(path: str | Path, what: str, error: type[ForgeError] = ConfigError) -> str:
     """The UTF-8 text of a non-corpus input file (universal newlines).
 
-    A file that cannot be opened or decoded raises ``error`` naming the
-    file as ``what``: ConfigError for config-like files, DataError for data.
+    A file that cannot be opened or decoded, or a path holding a NUL,
+    raises ``error`` naming the file as ``what``: ConfigError for
+    config-like files, DataError for data.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable, or NUL in path
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def read_json_input(path: str | Path, what: str, error: type[ForgeError] = ConfigError):
     """The JSON value in an input file; any failure raises ``error`` (see
-    ``read_input``)."""
+    ``read_input``). Nesting too deep to parse counts as invalid JSON."""
     text = read_input(path, what, error)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON type check: a bool is never a number, a float takes integers."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_object(
+    data, what: str, types: dict[str, type | tuple[type, ...]], required: Iterable[str] = (),
+    error: type[ForgeError] = ConfigError, extra_keys: bool = False,
+) -> dict:
+    """``data``, checked to be an object with keys only from ``types`` (any
+    key if ``extra_keys``), every ``required`` key, and each value of its
+    JSON type in ``types`` (or one of a tuple of types). A failure raises
+    ``error`` naming the object as ``what`` and a value as ``what.key``."""
+    if not isinstance(data, dict):
+        raise error(f"{what!r} must be an object")
+    unknown = [] if extra_keys else sorted(set(data) - set(types))
+    if unknown:
+        raise error(f"unknown key(s) {unknown} in {what!r}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise error(f"{what!r} is missing key(s) {missing}")
+    for key, kind in types.items():
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if key in data and not any(_is_a(data[key], k) for k in kinds):
+            names = " or ".join(_TYPE_NAMES[k] for k in kinds)
+            raise error(f"{f'{what}.{key}'!r} must be {names}, got {data[key]!r}")
+    return data
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[IO[str]]:
+    """A UTF-8 text stream with LF newlines whose contents replace ``path``
+    when the block succeeds. It writes to a unique temp file in the same
+    directory, which is removed on any failure."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -143,7 +207,7 @@ def iter_jsonl(path: str | Path, source_default: str | None = None) -> Iterator[
                 continue
             try:
                 obj = json.loads(stripped.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise CorpusError(
                     f"{path}: line {lineno} (byte offset {line_offset}): "
                     f"invalid JSON: {exc}"
@@ -200,21 +264,11 @@ def dump_jsonl(corpus: Corpus | Iterable[Document], fp: IO[str]) -> None:
 
 
 def write_jsonl(corpus: Corpus | Iterable[Document], path: str | Path) -> None:
-    """Write a corpus to ``path`` atomically (temp file + rename).
+    """Write a corpus to ``path`` atomically (see ``atomic_write``).
 
     Output is UTF-8 with LF line endings and a fixed field order
     (id, source, text, meta, token_count), so repeated writes of equal
     corpora are byte-identical.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            dump_jsonl(corpus, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as fh:
+        dump_jsonl(corpus, fh)

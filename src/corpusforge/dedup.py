@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import pmap
-from .corpus import Corpus, Document, read_input
+from .corpus import Corpus, Document, atomic_write, read_input
 from .errors import ConfigError, DataError
 from .report import StageReport, rewrite_texts, run_stage
 
@@ -305,11 +305,8 @@ def write_fingerprints(path: str | Path, pairs: list[tuple[str, Fingerprint]]) -
         # A reader splits lines on "\r" too (universal newlines).
         if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
             raise DataError(f"document id {doc_id!r} cannot be stored in a sidecar")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.writelines(f"{doc_id}\t{fp.hex}\n" for doc_id, fp in pairs)
-    tmp.replace(path)
 
 
 def read_fingerprints(path: str | Path) -> list[tuple[str, Fingerprint]]:

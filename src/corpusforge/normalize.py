@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._parallel import pmap
-from .corpus import Corpus, Document, read_json_input
+from .corpus import Corpus, Document, check_object, read_json_input
 from .errors import ConfigError
 from .report import StageReport, rewrite_texts, run_stage
 
@@ -90,19 +90,15 @@ class CharMapTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CharMapTable":
-        if not isinstance(data, dict):
-            raise ConfigError("a charmap table must be a JSON object")
-        unknown = set(data) - {"map", "strip"}
-        if unknown:
-            raise ConfigError(f"unknown charmap keys: {sorted(unknown)}")
+        check_object(data, "charmap", {"map": list, "strip": list})
         pairs, entries = data.get("map", []), data.get("strip", [])
-        if not isinstance(pairs, list) or not all(
+        if not all(
             isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
             for p in pairs
         ):
-            raise ConfigError("charmap 'map' must be a list of [input, output] string pairs")
-        if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
-            raise ConfigError("charmap 'strip' must be a list of strings")
+            raise ConfigError("'charmap.map' must be a list of [input, output] string pairs")
+        if not all(isinstance(e, str) for e in entries):
+            raise ConfigError("'charmap.strip' must be a list of strings")
         rules = tuple((_parse_seq(src), _parse_seq(dst)) for src, dst in pairs)
         strip: set[str] = set()
         for entry in entries:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .corpus import Corpus, read_json_input, read_jsonl
+from .corpus import Corpus, check_object, read_json_input, read_jsonl
 from .dedup import DedupConfig, dedup_pass
 from .errors import ConfigError
 from .langid import LangFilterConfig, filter_language
@@ -64,38 +64,8 @@ _SECTIONS: dict[str, dict[str, type]] = {
     },
     "split": {"enabled": bool, "target_tokens": int, "sentence_end_chars": str},
 }
-_TYPE_NAMES = {
-    bool: "true or false",
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    list: "an array",
-}
-
-
-def _is_a(value, kind: type) -> bool:
-    """JSON type check: a bool is never a number, a float takes integers."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _section(data: dict, name: str) -> dict:
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    types = _SECTIONS[name]
-    unknown = set(section) - set(types)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in config section {name!r}"
-        )
-    for key, value in section.items():
-        if not _is_a(value, types[key]):
-            raise ConfigError(
-                f"{name}.{key} must be {_TYPE_NAMES[types[key]]}, got {value!r}"
-            )
-    return section
+# The top-level keys: one object per section, and "workers" (null: all cores).
+_TOP_LEVEL = {"workers": (int, type(None)), **dict.fromkeys(_SECTIONS, dict)}
 
 
 def _pick(section: dict, *keys: str) -> dict:
@@ -135,62 +105,55 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "PipelineConfig":
-        unknown = set(data) - {"workers", *_SECTIONS}
-        if unknown:
-            raise ConfigError(f"unknown top-level config key(s) {sorted(unknown)}")
         norm, lang_sec, q_sec, pii_sec, d_sec, s_sec = (
-            _section(data, name)
+            check_object(data.get(name, {}), name, _SECTIONS[name])
             for name in ("normalize", "lang", "quality", "pii", "dedup", "split")
         )
+        check_object(data, "config", _TOP_LEVEL)
         workers = data.get("workers")
-        if workers is not None and (not _is_a(workers, int) or workers < 1):
+        if workers is not None and workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {workers!r}")
 
-        try:
-            charmap = None
-            if "charmap" in norm:
-                charmap = CharMapTable.from_json(_resolve(norm["charmap"], base_dir))
-            normalize_enabled = norm.get("enabled", True)
-            wordlist_table = (charmap or default_table()) if normalize_enabled else None
+        charmap = None
+        if "charmap" in norm:
+            charmap = CharMapTable.from_json(_resolve(norm["charmap"], base_dir))
+        normalize_enabled = norm.get("enabled", True)
+        wordlist_table = (charmap or default_table()) if normalize_enabled else None
 
-            lang_kwargs = _pick(lang_sec, "threshold")
-            if "ranges" in lang_sec:
-                try:
-                    lang_kwargs["script_ranges"] = tuple(
-                        (ord(_parse_cp(lo)), ord(_parse_cp(hi)))
-                        for lo, hi in lang_sec["ranges"]
-                    )
-                except (AttributeError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad lang 'ranges': {exc}") from exc
+        lang_kwargs = _pick(lang_sec, "threshold")
+        if "ranges" in lang_sec:
+            try:
+                lang_kwargs["script_ranges"] = tuple(
+                    (ord(_parse_cp(lo)), ord(_parse_cp(hi)))
+                    for lo, hi in lang_sec["ranges"]
+                )
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad lang 'ranges': {exc}") from exc
 
-            q_kwargs = _pick(q_sec, "stopword_threshold", "flagged_threshold", "min_tokens")
-            for key in ("stopwords", "flagged"):
-                if key in q_sec:
-                    q_kwargs[key] = load_wordlist(
-                        _resolve(q_sec[key], base_dir), wordlist_table
-                    )
+        q_kwargs = _pick(q_sec, "stopword_threshold", "flagged_threshold", "min_tokens")
+        for key in ("stopwords", "flagged"):
+            if key in q_sec:
+                q_kwargs[key] = load_wordlist(_resolve(q_sec[key], base_dir), wordlist_table)
 
-            pii_rules = None
-            if "rules" in pii_sec:
-                pii_rules = PiiRuleSet.from_json(_resolve(pii_sec["rules"], base_dir))
+        pii_rules = None
+        if "rules" in pii_sec:
+            pii_rules = PiiRuleSet.from_json(_resolve(pii_sec["rules"], base_dir))
 
-            return cls(
-                lang_enabled=lang_sec.get("enabled", True),
-                lang=LangFilterConfig(**lang_kwargs),
-                normalize_enabled=normalize_enabled,
-                charmap=charmap,
-                quality_enabled=q_sec.get("enabled", True),
-                quality=QualityConfig(**q_kwargs) if q_kwargs else None,
-                pii_enabled=pii_sec.get("enabled", True),
-                pii_rules=pii_rules,
-                dedup_enabled=d_sec.get("enabled", True),
-                dedup=DedupConfig(**{k: v for k, v in d_sec.items() if k != "enabled"}),
-                split_enabled=s_sec.get("enabled", True),
-                split=SplitConfig(**_pick(s_sec, "target_tokens", "sentence_end_chars")),
-                workers=workers,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        return cls(
+            lang_enabled=lang_sec.get("enabled", True),
+            lang=LangFilterConfig(**lang_kwargs),
+            normalize_enabled=normalize_enabled,
+            charmap=charmap,
+            quality_enabled=q_sec.get("enabled", True),
+            quality=QualityConfig(**q_kwargs) if q_kwargs else None,
+            pii_enabled=pii_sec.get("enabled", True),
+            pii_rules=pii_rules,
+            dedup_enabled=d_sec.get("enabled", True),
+            dedup=DedupConfig(**{k: v for k, v in d_sec.items() if k != "enabled"}),
+            split_enabled=s_sec.get("enabled", True),
+            split=SplitConfig(**_pick(s_sec, "target_tokens", "sentence_end_chars")),
+            workers=workers,
+        )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._parallel import pmap
-from .corpus import Corpus, read_input, read_json_input
+from .corpus import Corpus, check_object, read_input, read_json_input
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, rewrite_texts, run_stage
 
@@ -147,7 +147,8 @@ class PiiRule:
             )
         try:
             _compile_rule(self.pattern)
-        except re.error as exc:
+        # A syntax error, a repeat count too large, or nesting too deep.
+        except (re.error, OverflowError, RecursionError) as exc:
             raise ConfigError(
                 f"PII rule {self.name!r} has a bad pattern: {exc}"
             ) from exc
@@ -175,20 +176,11 @@ class PiiRuleSet:
             raise ConfigError(
                 "PII rules must be a JSON array of {name, pattern, replacement}"
             )
-        rules = []
-        for i, entry in enumerate(data):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"PII rule #{i} is not an object")
-            unknown = set(entry) - {"name", "pattern", "replacement"}
-            if unknown:
-                raise ConfigError(f"unknown key(s) {sorted(unknown)} in PII rule #{i}")
-            try:
-                fields = [entry[key] for key in ("name", "pattern", "replacement")]
-            except KeyError as exc:
-                raise ConfigError(f"PII rule #{i} is missing key {exc}") from exc
-            if not all(isinstance(f, str) for f in fields):
-                raise ConfigError(f"PII rule #{i}: name, pattern and replacement must be strings")
-            rules.append(PiiRule(*fields))
+        keys = ("name", "pattern", "replacement")
+        rules = (
+            PiiRule(**check_object(entry, f"PII rules[{i}]", dict.fromkeys(keys, str), keys))
+            for i, entry in enumerate(data)
+        )
         return cls(rules=tuple(rules))
 
     @classmethod

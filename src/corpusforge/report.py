@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .corpus import Corpus
+from .corpus import Corpus, check_object
 from .errors import DataError
 
 
@@ -76,27 +76,42 @@ class StageReport:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StageReport":
-        try:
-            rep = cls(
-                stage=d["stage"],
-                docs_in=d["docs_in"],
-                docs_out=d["docs_out"],
-                tokens_in=d["tokens_in"],
-                tokens_out=d["tokens_out"],
-                drop_reasons=dict(d.get("drop_reasons", {})),
-                duration_ms=d.get("duration_ms", 0),
-                enabled=d.get("enabled", True),
-                counters=dict(d.get("counters", {})),
-                drop_details=[
-                    DropDetail(x["id"], x["reason"], x.get("kept_id"))
-                    for x in d.get("drops", [])
-                ],
-                sub_reports=[cls.from_dict(x) for x in d.get("sub_reports", [])],
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"bad stage report data: {exc}") from exc
-        return rep
+    def from_dict(cls, d: dict, what: str = "stage") -> "StageReport":
+        _check(d, what, _STAGE_TYPES, _STAGE_REQUIRED)
+        drops = [
+            _check(x, f"{what}.drops[{i}]", _DROP_TYPES, ("id", "reason"))
+            for i, x in enumerate(d.get("drops", []))
+        ]
+        return cls(
+            **{key: d[key] for key in _STAGE_REQUIRED},
+            drop_reasons=dict(d.get("drop_reasons", {})),
+            duration_ms=d.get("duration_ms", 0),
+            enabled=d.get("enabled", True),
+            counters=dict(d.get("counters", {})),
+            drop_details=[DropDetail(x["id"], x["reason"], x.get("kept_id")) for x in drops],
+            sub_reports=[
+                cls.from_dict(x, f"{what}.sub_reports[{i}]")
+                for i, x in enumerate(d.get("sub_reports", []))
+            ],
+        )
+
+
+# The JSON types of the saved-report objects that ``from_dict`` reads. Keys
+# it does not read (the derived totals, say) are allowed and ignored.
+_STAGE_TYPES = {
+    "stage": str,
+    "enabled": bool,
+    **dict.fromkeys(("docs_in", "docs_out", "tokens_in", "tokens_out", "duration_ms"), int),
+    **dict.fromkeys(("drop_reasons", "counters"), dict),
+    **dict.fromkeys(("drops", "sub_reports"), list),
+}
+_STAGE_REQUIRED = ("stage", "docs_in", "docs_out", "tokens_in", "tokens_out")
+_DROP_TYPES = {"id": str, "reason": str, "kept_id": (str, type(None))}
+_SOURCE_TYPES = {"original_tokens": int, "final_tokens": int}
+
+
+def _check(data, what: str, types: dict, required=()) -> dict:
+    return check_object(data, what, types, required, DataError, extra_keys=True)
 
 
 def run_stage(
@@ -195,19 +210,19 @@ class PipelineReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineReport":
-        try:
-            sources = d["sources"]
-            return cls(
-                original_source_tokens={
-                    src: row["original_tokens"] for src, row in sources.items()
-                },
-                stages=[StageReport.from_dict(x) for x in d.get("stages", [])],
-                final_source_tokens={
-                    src: row["final_tokens"] for src, row in sources.items()
-                },
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise DataError(f"bad pipeline report data: {exc}") from exc
+        _check(d, "report", {"sources": dict, "stages": list}, ("sources",))
+        rows = {
+            src: _check(row, f"report.sources.{src}", _SOURCE_TYPES, required=_SOURCE_TYPES)
+            for src, row in d["sources"].items()
+        }
+        return cls(
+            original_source_tokens={src: row["original_tokens"] for src, row in rows.items()},
+            stages=[
+                StageReport.from_dict(x, f"report.stages[{i}]")
+                for i, x in enumerate(d.get("stages", []))
+            ],
+            final_source_tokens={src: row["final_tokens"] for src, row in rows.items()},
+        )
 
 
 def _pct(original: int, final: int) -> float:

@@ -654,30 +654,51 @@ UNREADABLE_INPUTS = [
     ("--fps-in", ["dedup", "--fps-in", "{bad}", *_IO], 3, False),
     ("report", ["report", "{bad}"], 3, True),
 ]
+_REPORT = {
+    "sources": {"a": {"original_tokens": 3, "final_tokens": 1}},
+    "stages": [{"stage": "ingest", "docs_in": 1, "docs_out": 1, "tokens_in": 3, "tokens_out": 3}],
+}
+# (case, argv, exit code, content of {bad}, what stderr names: the file
+# unless given).
 UNREADABLE_CASES = [
-    (f"{case}-{kind}", argv, code, content)
+    (f"{case}-{kind}", argv, code, content, "{bad}")
     for case, argv, code, is_json in UNREADABLE_INPUTS
-    for kind, content in [("not-utf8", b"ok\n\xff\xfe\n"), ("not-json", b"{not json\n")]
+    for kind, content in [
+        ("not-utf8", b"ok\n\xff\xfe\n"), ("not-json", b"{not json\n"), ("too-deep", b"[" * 100_000),
+    ]
     if is_json or kind == "not-utf8"
+] + [
+    # A path read from a JSON file that holds a NUL.
+    ("refs_path-nul", ["compare", "--manifest", "{d}/refs_nul.json"], 3, b"", "{bad}"),
+    ("config-stopwords-nul", ["run", "--config", "{d}/stopwords_nul.json", *_IO], 2, b"", "{bad}"),
+    # A saved report with a wrong-typed value is named by its key.
+    ("report-string-tokens", ["report", "{bad}"], 3,
+     json.dumps({**_REPORT, "sources": {"a": {"original_tokens": "x", "final_tokens": 1}}}).encode(),
+     "report.sources.a.original_tokens"),
+    ("report-string-docs-in", ["report", "{bad}"], 3,
+     json.dumps({**_REPORT, "stages": [{**_REPORT["stages"][0], "docs_in": "a"}]}).encode(),
+     "report.stages[0].docs_in"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,code,content", [c[1:] for c in UNREADABLE_CASES], ids=[c[0] for c in UNREADABLE_CASES]
+    "argv,code,content,named", [c[1:] for c in UNREADABLE_CASES], ids=[c[0] for c in UNREADABLE_CASES]
 )
 def test_unreadable_input_file_is_named_and_exits_2_or_3(
-    corpus_file: Path, tmp_path: Path, capsys, argv, code, content
+    corpus_file: Path, tmp_path: Path, capsys, argv, code, content, named
 ):
     _manifest(tmp_path)
     bad = tmp_path / "bad.in"
     bad.write_bytes(content)
-    for name, key, value in (("refs_bad.json", "refs_path", "bad.in"),
-                             ("system_bad.json", "systems", {"good": "bad.in"})):
-        (tmp_path / name).write_text(json.dumps({**_GOOD_SET, key: value}), encoding="utf-8")
+    for name, payload in (("refs_bad.json", {**_GOOD_SET, "refs_path": "bad.in"}),
+                          ("system_bad.json", {**_GOOD_SET, "systems": {"good": "bad.in"}}),
+                          ("refs_nul.json", {**_GOOD_SET, "refs_path": "bad.in\0"}),
+                          ("stopwords_nul.json", {"quality": {"stopwords": "bad.in\0"}})):
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
     before = sorted(tmp_path.iterdir())
     assert _forge(*(a.format(bad=bad, corpus=corpus_file, d=tmp_path) for a in argv)) == code
     out, err = capsys.readouterr()
-    assert str(bad) in err and "Traceback" not in err
+    assert named.format(bad=bad) in err and "Traceback" not in err
     assert out == "" and sorted(tmp_path.iterdir()) == before
 
 

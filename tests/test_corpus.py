@@ -114,9 +114,11 @@ def test_bom_and_blank_lines(tmp_path: Path):
 
 def test_bad_json_names_line_and_offset(tmp_path: Path):
     p = tmp_path / "c.jsonl"
-    p.write_bytes(b'{"id": "a", "text": "x"}\nnot json\n')
-    with pytest.raises(CorpusError, match=r"line 2 \(byte offset 25\)"):
-        read_jsonl(p)
+    # Nesting too deep for the parser is invalid JSON too.
+    for bad in (b"not json", b"[" * 100_000):
+        p.write_bytes(b'{"id": "a", "text": "x"}\n' + bad + b"\n")
+        with pytest.raises(CorpusError, match=r"line 2 \(byte offset 25\): invalid JSON"):
+            read_jsonl(p)
 
 
 def test_duplicate_id_names_both_lines(tmp_path: Path):

@@ -654,6 +654,10 @@ def test_fingerprint_file_rejects_bad_ids(tmp_path: Path):
                 write_fingerprints(tmp_path / "x.fps", pairs)
             # Neither the sidecar nor a partly written temp file is left.
             assert list(tmp_path.iterdir()) == []
+    # Nor by a failure after the first line is written.
+    with pytest.raises(AttributeError):
+        write_fingerprints(tmp_path / "x.fps", [("a", Fingerprint(1)), ("b", 5)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fingerprint_file_bad_line_names_location(tmp_path: Path):

@@ -236,6 +236,8 @@ def test_rules_from_file(tmp_path: Path):
         {"name": 5, "pattern": "x", "replacement": "<PII:X>"},
         {"name": "X", "pattern": ["x"], "replacement": "<PII:X>"},
         {"name": "X", "pattern": "x", "replacement": 5},
+        {"name": "X", "pattern": "a{4294967296}", "replacement": "<PII:X>"},
+        {"name": "X", "pattern": "(" * 5000 + ")" * 5000, "replacement": "<PII:X>"},
     ],
 )
 def test_bad_rule_entries_rejected(entry):

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpusforge.errors import DataError
 from corpusforge.report import (
+    DropDetail,
     PipelineReport,
     StageReport,
     render_report,
@@ -65,6 +67,48 @@ def test_pipeline_dict_round_trip():
     back = PipelineReport.from_dict(json.loads(json.dumps(rep.to_dict())))
     assert back.to_dict() == rep.to_dict()
     assert render_report(back) == render_report(rep)
+
+
+_names = st.text(max_size=8)
+_counts = st.integers(min_value=0, max_value=10**12)
+_drops = st.builds(DropDetail, _names, _names, st.none() | _names)
+
+
+def _stages(sub_reports) -> st.SearchStrategy[StageReport]:
+    return st.builds(
+        StageReport,
+        stage=_names,
+        docs_in=_counts,
+        docs_out=_counts,
+        tokens_in=_counts,
+        tokens_out=_counts,
+        drop_reasons=st.dictionaries(_names, _counts, max_size=3),
+        duration_ms=_counts,
+        enabled=st.booleans(),
+        counters=st.dictionaries(_names, _counts, max_size=3),
+        drop_details=st.lists(_drops, max_size=3),
+        sub_reports=sub_reports,
+    )
+
+
+@st.composite
+def _reports(draw) -> PipelineReport:
+    # Sources may hold zero tokens; each stage may carry a level of sub-reports.
+    original = draw(st.dictionaries(_names, _counts | st.just(0), max_size=4))
+    return PipelineReport(
+        original_source_tokens=original,
+        stages=draw(st.lists(_stages(st.lists(_stages(st.just([])), max_size=2)), max_size=4)),
+        final_source_tokens={src: draw(st.integers(0, n)) for src, n in original.items()},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reports())
+def test_saved_report_reads_back_as_written(rep: PipelineReport):
+    back = PipelineReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+    assert back.to_dict() == rep.to_dict()
+    for fmt in ("table", "json"):
+        assert render_report(back, fmt) == render_report(rep, fmt)
 
 
 def test_json_keeps_full_precision():
