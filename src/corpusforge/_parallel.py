@@ -32,7 +32,8 @@ def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int | None = None) -
     of one) when more than one worker is used.
     """
     seq: Sequence[T] = items if isinstance(items, Sequence) else list(items)
-    n = resolve_workers(workers)
+    # A pool forks all its workers at once, so never more than the cores.
+    n = min(resolve_workers(workers), os.cpu_count() or 1)
     if n <= 1 or len(seq) < _MIN_PARALLEL_ITEMS:
         return [fn(x) for x in seq]
     chunk = max(1, len(seq) // (n * 4))

@@ -4,8 +4,9 @@ One subcommand per pipeline stage (each reads JSONL documents and writes
 the processed result), ``run`` for the whole chain, ``report`` to
 re-render a saved run report, and ``bleu``/``compare`` for translation
 evaluation. Stage subcommands exist so a full run can be reproduced and
-audited step by step: each runs the same chain as ``run`` with only its
-own stages switched on.
+audited step by step: one handler makes the ``run_pipeline`` call of every
+corpus subcommand, with only its own stages switched on, and every
+``--report`` is a run report listing those stages, which ``report`` renders.
 
 Every stage flag overrides the config key it names (its argparse
 ``dest``, e.g. ``--threshold`` is ``lang.threshold``), so ``--config``
@@ -20,8 +21,8 @@ matches are sorted for determinism.
 Exit codes: 0 success, 2 usage or configuration error, 3 data error.
 Logging goes to stderr; FORGE_LOG selects error, info, or debug. Output
 files are written to temporary names and renamed only when the command
-succeeds, so a failed run leaves no partial outputs. ``--out -`` streams
-JSONL to stdout instead.
+succeeds, so a failed run leaves no partial outputs; two outputs may not
+share a path. ``--out -`` streams JSONL to stdout instead.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import Corpus, check_object, dump_jsonl, read_input, read_json_input, write_jsonl
-from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints
+from .corpus import check_object, dump_jsonl, read_input, read_json_input, write_jsonl
+# Not called here: perfbench/tracing.py wraps cli.dedup_pass by name.
+from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints  # noqa: F401
 from .errors import ConfigError, DataError, ForgeError
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
-from .pipeline import PipelineConfig, ingest, read_config, run_pipeline
+from .pipeline import PipelineConfig, read_config, run_pipeline
 from .report import PipelineReport, render_report, stage_summary
 
 log = logging.getLogger("forge")
@@ -71,6 +73,8 @@ class _StagedOutputs:
 
     def path(self, final: str | Path) -> Path:
         final = Path(final)
+        if any(final.resolve() == done.resolve() for _, done in self._staged):
+            raise ConfigError(f"two outputs are given the same path {str(final)!r}")
         tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
         self._staged.append((tmp, final))
         return tmp
@@ -102,21 +106,8 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     return paths
 
 
-def _write_corpus(corpus: Corpus, dest: str, staged: _StagedOutputs) -> None:
-    if dest == "-":
-        dump_jsonl(corpus, sys.stdout)
-        sys.stdout.flush()
-    else:
-        write_jsonl(corpus, staged.path(dest))
-
-
-def _write_json(payload: dict, dest: str, staged: _StagedOutputs) -> None:
-    with open(staged.path(dest), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
-
-
-# The stage switches of PipelineConfig (``<stage>_enabled``), in chain order.
+# The stage switches of PipelineConfig (``<stage>_enabled``), in the order of
+# the run report's stages after ingest.
 _STAGES = ("lang", "normalize", "quality", "pii", "dedup", "split")
 
 
@@ -154,34 +145,17 @@ def _log_stages(*reports) -> None:
             )
 
 
-def _emit(args, staged, corpus: Corpus, reports) -> None:
-    _log_stages(*reports)
-    _write_corpus(corpus, args.out, staged)
-    if getattr(args, "report", None):
-        _write_json({"stages": [r.to_dict() for r in reports]}, args.report, staged)
-
-
-def _cmd_ingest(args, staged) -> int:
-    corpus, rep = ingest(_expand_inputs(args.inputs))
-    _emit(args, staged, corpus, [rep])
-    return 0
-
-
-def _cmd_stages(args, staged) -> int:
-    """Run the chain with only this subcommand's stages switched on."""
-    stages = set(args.stages)
-    if getattr(args, "split.target_tokens", None) is not None:
-        stages.add("split")  # normalize --target N also splits
-    if getattr(args, "no_pii", False):
-        stages.discard("pii")
-    cfg = replace(_load_cfg(args), **{f"{stage}_enabled": stage in stages for stage in _STAGES})
-    corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg)
-    _emit(args, staged, corpus, [rep for rep in report.stages[1:] if rep.enabled])
-    return 0
-
-
-def _cmd_dedup(args, staged) -> int:
+def _cmd_corpus(args, staged) -> int:
+    """Run the chain with only this subcommand's stages switched on (every
+    stage for ``run``) and write its outputs. The report lists those stages."""
     cfg = _load_cfg(args)
+    if args.stages is not None:
+        stages = set(args.stages)
+        if getattr(args, "split.target_tokens", None) is not None:
+            stages.add("split")  # normalize --target N also splits
+        if getattr(args, "no_pii", False):
+            stages.discard("pii")
+        cfg = replace(cfg, **{f"{stage}_enabled": stage in stages for stage in _STAGES})
     if (args.fps_in or args.fps_out) and not cfg.dedup.overall:
         raise ConfigError(
             "--fps-in and --fps-out need the corpus-wide pass "
@@ -189,21 +163,24 @@ def _cmd_dedup(args, staged) -> int:
         )
     registry = seed_registry(read_fingerprints(args.fps_in) if args.fps_in else [], cfg.dedup)
     seeded = len(registry)
-    corpus, _ = ingest(_expand_inputs(args.inputs))
-    corpus, rep = dedup_pass(corpus, cfg.dedup, registry=registry, workers=cfg.workers)
+    corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg, registry=registry)
+    if args.stages is not None:
+        report.stages = [
+            rep for rep, stage in zip(report.stages, ("ingest", *_STAGES)) if stage in stages
+        ]
+    _log_stages(*report.stages)
+    if args.out == "-":
+        dump_jsonl(corpus, sys.stdout)
+        sys.stdout.flush()
+    else:
+        write_jsonl(corpus, staged.path(args.out))
     if args.fps_out:
         write_fingerprints(staged.path(args.fps_out), registry.pairs(start=seeded))
-    _emit(args, staged, corpus, [rep])
-    return 0
-
-
-def _cmd_run(args, staged) -> int:
-    corpus, report = run_pipeline(_expand_inputs(args.inputs), _load_cfg(args))
-    _log_stages(*report.stages)
-    _write_corpus(corpus, args.out, staged)
     if args.report:
-        _write_json(report.to_dict(), args.report, staged)
-    if args.out != "-":
+        with open(staged.path(args.report), "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
+            fh.write("\n")
+    if args.stages is None and args.out != "-":
         print(render_report(report))
     return 0
 
@@ -289,6 +266,8 @@ def _cmd_bleu(args, staged) -> int:
 
 
 def _add_io(sp, workers: bool = True, config: bool = True) -> None:
+    """The flags every corpus subcommand shares; it runs ``_cmd_corpus``."""
+    sp.set_defaults(func=_cmd_corpus, config=None, fps_in=None, fps_out=None)
     sp.add_argument(
         "--in",
         dest="inputs",
@@ -300,14 +279,15 @@ def _add_io(sp, workers: bool = True, config: bool = True) -> None:
     sp.add_argument(
         "--out", required=True, metavar="PATH", help="output JSONL path, - for stdout"
     )
-    sp.add_argument("--report", metavar="PATH", help="write a JSON stage report")
+    sp.add_argument("--report", metavar="PATH", help="write a JSON run report")
     if workers:
         sp.add_argument(
             "--workers",
             type=int,
             default=None,
             metavar="N",
-            help="process count (default: all cores; output is identical for any N)",
+            help="process count, at most the core count (default: all cores; "
+            "output is identical for any N)",
         )
     if config:
         sp.add_argument("--config", metavar="PATH", help="pipeline config JSON")
@@ -322,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest", help="validate and merge JSONL inputs")
     _add_io(sp, workers=False, config=False)
-    sp.set_defaults(func=_cmd_ingest)
+    sp.set_defaults(stages=("ingest",))
 
     # A stage flag's dest is the config key it overrides (see _load_cfg).
     # Path flags are made absolute here, against the working directory.
@@ -330,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(sp)
     sp.add_argument("--threshold", dest="lang.threshold", type=float, metavar="F",
                     help="keep score >= F")
-    sp.set_defaults(func=_cmd_stages, stages=("lang",))
+    sp.set_defaults(stages=("lang",))
 
     sp = sub.add_parser("normalize", help="standardize characters (and optionally split)")
     _add_io(sp)
@@ -338,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="character rule table JSON")
     sp.add_argument("--target", dest="split.target_tokens", type=int, metavar="N",
                     help="also split to about N tokens")
-    sp.set_defaults(func=_cmd_stages, stages=("normalize",))
+    sp.set_defaults(stages=("normalize",))
 
     sp = sub.add_parser("quality", help="ratio-based quality filter plus PII scrub")
     _add_io(sp)
@@ -354,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pii", dest="pii.rules", type=os.path.abspath, metavar="PATH",
                     help="PII rules JSON (array of rules)")
     sp.add_argument("--no-pii", action="store_true", help="skip the PII scrub")
-    sp.set_defaults(func=_cmd_stages, stages=("quality", "pii"))
+    sp.set_defaults(stages=("quality", "pii"))
 
     sp = sub.add_parser("dedup", help="remove duplicate documents and repeated lines")
     _add_io(sp)
@@ -368,17 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-lines", dest="dedup.lines", action="store_false", default=None)
     sp.add_argument("--fps-in", metavar="PATH", help="seed fingerprints (id\\thex)")
     sp.add_argument("--fps-out", metavar="PATH", help="write kept fingerprints")
-    sp.set_defaults(func=_cmd_dedup)
+    sp.set_defaults(stages=("dedup",))
 
     sp = sub.add_parser("split", help="split long documents near a token target")
     _add_io(sp)
     sp.add_argument("--target", dest="split.target_tokens", type=int, metavar="N")
     sp.add_argument("--sentence-ends", dest="split.sentence_end_chars", metavar="CHARS")
-    sp.set_defaults(func=_cmd_stages, stages=("split",))
+    sp.set_defaults(stages=("split",))
 
     sp = sub.add_parser("run", help="run the full pipeline")
     _add_io(sp)
-    sp.set_defaults(func=_cmd_run)
+    sp.set_defaults(stages=None)
 
     sp = sub.add_parser("report", help="re-render a saved run report")
     sp.add_argument("report_file", metavar="REPORT_JSON")

@@ -111,11 +111,15 @@ def check_object(
 def atomic_write(path: str | Path) -> Iterator[IO[str]]:
     """A UTF-8 text stream with LF newlines whose contents replace ``path``
     when the block succeeds. It writes to a unique temp file in the same
-    directory, which is removed on any failure."""
+    directory, which is removed on any failure. The file gets the mode a
+    plain ``open`` would give it, not ``mkstemp``'s 0600."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:

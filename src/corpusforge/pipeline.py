@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 
 from .corpus import Corpus, check_object, read_json_input, read_jsonl
-from .dedup import DedupConfig, dedup_pass
+from .dedup import DedupConfig, DedupRegistry, dedup_pass
 from .errors import ConfigError
 from .langid import LangFilterConfig, filter_language
 from .normalize import (
@@ -178,8 +178,10 @@ def ingest(paths: list[str | Path]) -> tuple[Corpus, StageReport]:
 def run_pipeline(
     inputs: list[str | Path] | Corpus,
     cfg: PipelineConfig | None = None,
+    registry: DedupRegistry | None = None,
 ) -> tuple[Corpus, PipelineReport]:
-    """Run every stage over the input files (or an in-memory corpus)."""
+    """Run every stage over the input files (or an in-memory corpus).
+    ``registry`` seeds dedup's corpus-wide pass and collects what it keeps."""
     if cfg is None:
         cfg = PipelineConfig()
     w = cfg.workers
@@ -199,7 +201,8 @@ def run_pipeline(
         ("quality_filter", cfg.quality_enabled,
          partial(filter_quality, cfg=cfg.quality, workers=w)),
         ("pii_scrub", cfg.pii_enabled, partial(scrub_corpus_pii, rules=cfg.pii_rules, workers=w)),
-        ("dedup", cfg.dedup_enabled, partial(dedup_pass, cfg=cfg.dedup, workers=w)),
+        ("dedup", cfg.dedup_enabled,
+         partial(dedup_pass, cfg=cfg.dedup, registry=registry, workers=w)),
         ("split", cfg.split_enabled, partial(split_corpus, cfg=cfg.split, workers=w)),
     )
     for name, enabled, call in chain:

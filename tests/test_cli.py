@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from corpusforge import dedup
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
-from corpusforge.dedup import DedupConfig, read_fingerprints, simhash
+from corpusforge.dedup import DedupConfig, dedup_pass, read_fingerprints, simhash
 from corpusforge.langid import LangFilterConfig, filter_language
 from corpusforge.normalize import SplitConfig, split_corpus, standardize_corpus
 from corpusforge.quality import filter_quality, scrub_corpus_pii
@@ -357,6 +359,8 @@ STAGE_COMMANDS = [
     (["quality", "--no-pii"], _chain(filter_quality)),
     (["split", "--target", "10", "--sentence-ends", "۔"],
      _chain(lambda c: split_corpus(c, SplitConfig(target_tokens=10, sentence_end_chars="۔")))),
+    (["dedup"], _chain(dedup_pass)),
+    (["dedup", "--mode", "near"], _chain(lambda c: dedup_pass(c, DedupConfig(mode="near")))),
 ]
 
 
@@ -418,16 +422,47 @@ def test_flag_path_is_relative_to_cwd_and_config_path_to_config(tmp_path: Path, 
     assert read_jsonl(tmp_path / "o.jsonl")[0].text == "C x"
 
 
-def test_report_round_trip(corpus_file: Path, tmp_path: Path, capsys):
+@pytest.mark.parametrize("command", ["ingest", "lang", "quality", "dedup", "run"])
+def test_report_round_trip(corpus_file: Path, tmp_path: Path, capsys, command: str):
     report = tmp_path / "rep.json"
     out = tmp_path / "o.jsonl"
-    assert _forge("run", "--in", str(corpus_file), "--out", str(out), "--report", str(report)) == 0
-    run_table = capsys.readouterr().out
+    assert _forge(command, "--in", str(corpus_file), "--out", str(out), "--report", str(report)) == 0
+    printed = capsys.readouterr().out
     assert _forge("report", str(report)) == 0
-    again = capsys.readouterr().out
-    assert again.strip() in run_table or run_table.strip() in again
+    table = capsys.readouterr().out
+    assert "TOTAL" in table
+    # Only run prints its table.
+    assert printed == (table if command == "run" else "")
     assert _forge("report", str(report), "--format", "json") == 0
-    assert json.loads(capsys.readouterr().out)["sources"]
+    rendered = json.loads(capsys.readouterr().out)
+    assert rendered["sources"]
+    assert rendered["stages"] == json.loads(report.read_text(encoding="utf-8"))["stages"]
+
+
+@pytest.mark.parametrize("flag", ["--report", "--fps-out"])
+def test_two_outputs_on_one_path_are_refused(
+    corpus_file: Path, tmp_path: Path, capsys, monkeypatch, flag: str
+):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert _forge("dedup", "--in", str(corpus_file), "--out", "x", flag, str(tmp_path / "x")) == 2
+    assert "'" + str(tmp_path / "x") + "'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_get_the_mode_of_the_umask(corpus_file: Path, tmp_path: Path, umask, mode):
+    paths = [tmp_path / "o.jsonl", tmp_path / "r.json", tmp_path / "f.fps"]
+    old = os.umask(umask)
+    try:
+        code = _forge(
+            "dedup", "--in", str(corpus_file), "--out", str(paths[0]),
+            "--report", str(paths[1]), "--fps-out", str(paths[2]),
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [mode] * 3
 
 
 def test_report_missing_file(tmp_path: Path):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from corpusforge import _parallel
 from corpusforge.corpus import Corpus, Document, write_jsonl
 from corpusforge.dedup import DedupConfig
 from corpusforge.errors import ConfigError, CorpusError
@@ -216,6 +218,28 @@ def test_config_workers_validation():
     assert PipelineConfig.from_dict({"workers": 2}).workers == 2
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"workers": 0})
+
+
+def test_pmap_pool_is_capped_at_the_core_count(monkeypatch):
+    sizes = []
+
+    class FakePool:  # records its size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", FakePool)
+    items = list(range(300))
+    assert _parallel.pmap(abs, items, workers=10**6) == items
+    assert all(n <= (os.cpu_count() or 1) for n in sizes)
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path: Path):
