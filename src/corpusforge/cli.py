@@ -37,7 +37,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import check_object, dump_jsonl, read_input, read_json_input, write_jsonl
+from .corpus import (
+    atomic_write, check_object, dump_jsonl, read_input, read_json_input, write_jsonl,
+)
 # Not called here: perfbench/tracing.py wraps cli.dedup_pass by name.
 from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints  # noqa: F401
 from .errors import ConfigError, DataError, ForgeError
@@ -66,18 +68,14 @@ def _setup_logging() -> None:
 
 
 class _StagedOutputs:
-    """Output files staged under temporary names until commit."""
+    """Output files written under temporary names (``atomic_write``), all
+    renamed onto their paths at commit."""
 
     def __init__(self):
-        self._staged: list[tuple[Path, Path]] = []
+        self._staged: list[tuple[str, Path]] = []
 
-    def path(self, final: str | Path) -> Path:
-        final = Path(final)
-        if any(final.resolve() == done.resolve() for _, done in self._staged):
-            raise ConfigError(f"two outputs are given the same path {str(final)!r}")
-        tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+    def add(self, tmp: str, final: Path) -> None:
         self._staged.append((tmp, final))
-        return tmp
 
     def commit(self) -> None:
         for tmp, final in self._staged:
@@ -87,10 +85,20 @@ class _StagedOutputs:
     def discard(self) -> None:
         for tmp, _ in self._staged:
             try:
-                tmp.unlink()
+                os.unlink(tmp)
             except OSError:
                 pass
         self._staged.clear()
+
+
+def _check_distinct(paths: list[str]) -> None:
+    """Refuse two outputs on one path, before any work is done."""
+    seen: set[Path] = set()
+    for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"two outputs are given the same path {path!r}")
+        seen.add(resolved)
 
 
 def _expand_inputs(patterns: list[str]) -> list[Path]:
@@ -128,7 +136,14 @@ def _load_cfg(args) -> PipelineConfig:
 
 
 def _read_lines(path: str | Path, what: str) -> tuple[str, ...]:
-    return tuple(read_input(path, what, DataError).splitlines())
+    """The lines of a text file, split on "\n" only (``read_input`` has
+    already turned "\r\n" into "\n"), so other Unicode line breaks such
+    as U+0085 and U+2028 stay inside their line. A final "\n" ends the
+    last line rather than starting an empty one."""
+    lines = read_input(path, what, DataError).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return tuple(lines)
 
 
 def _log_stages(*reports) -> None:
@@ -148,6 +163,7 @@ def _log_stages(*reports) -> None:
 def _cmd_corpus(args, staged) -> int:
     """Run the chain with only this subcommand's stages switched on (every
     stage for ``run``) and write its outputs. The report lists those stages."""
+    _check_distinct([p for p in (args.out, args.fps_out, args.report) if p not in (None, "-")])
     cfg = _load_cfg(args)
     if args.stages is not None:
         stages = set(args.stages)
@@ -173,11 +189,11 @@ def _cmd_corpus(args, staged) -> int:
         dump_jsonl(corpus, sys.stdout)
         sys.stdout.flush()
     else:
-        write_jsonl(corpus, staged.path(args.out))
+        write_jsonl(corpus, args.out, commit=staged.add)
     if args.fps_out:
-        write_fingerprints(staged.path(args.fps_out), registry.pairs(start=seeded))
+        write_fingerprints(args.fps_out, registry.pairs(start=seeded), commit=staged.add)
     if args.report:
-        with open(staged.path(args.report), "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(args.report, commit=staged.add) as fh:
             json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
             fh.write("\n")
     if args.stages is None and args.out != "-":

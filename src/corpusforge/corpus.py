@@ -18,7 +18,7 @@ import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import ConfigError, CorpusError, ForgeError
 
@@ -108,11 +108,17 @@ def check_object(
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[IO[str]]:
+def atomic_write(
+    path: str | Path, commit: Callable[[str, Path], object] = os.replace
+) -> Iterator[IO[str]]:
     """A UTF-8 text stream with LF newlines whose contents replace ``path``
     when the block succeeds. It writes to a unique temp file in the same
     directory, which is removed on any failure. The file gets the mode a
-    plain ``open`` would give it, not ``mkstemp``'s 0600."""
+    plain ``open`` would give it, not ``mkstemp``'s 0600.
+
+    On success ``commit(temp, path)`` runs, which by default renames the
+    temp file onto ``path``; a caller that commits several files together
+    passes a function that records the pair and renames it later."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -121,7 +127,7 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
             yield fh
-        os.replace(tmp, path)
+        commit(tmp, path)
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)
@@ -267,12 +273,16 @@ def dump_jsonl(corpus: Corpus | Iterable[Document], fp: IO[str]) -> None:
         fp.write("\n")
 
 
-def write_jsonl(corpus: Corpus | Iterable[Document], path: str | Path) -> None:
-    """Write a corpus to ``path`` atomically (see ``atomic_write``).
+def write_jsonl(
+    corpus: Corpus | Iterable[Document], path: str | Path,
+    commit: Callable[[str, Path], object] = os.replace,
+) -> None:
+    """Write a corpus to ``path`` atomically (see ``atomic_write``, which
+    gets ``commit``).
 
     Output is UTF-8 with LF line endings and a fixed field order
     (id, source, text, meta, token_count), so repeated writes of equal
     corpora are byte-identical.
     """
-    with atomic_write(path) as fh:
+    with atomic_write(path, commit) as fh:
         dump_jsonl(corpus, fh)

@@ -25,10 +25,12 @@ collection.
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -299,13 +301,17 @@ def dedup_pass(
     return run_stage("dedup", corpus, step)
 
 
-def write_fingerprints(path: str | Path, pairs: list[tuple[str, Fingerprint]]) -> None:
-    """Write an "id<TAB>hex" line per fingerprint."""
+def write_fingerprints(
+    path: str | Path, pairs: list[tuple[str, Fingerprint]],
+    commit: Callable[[str, Path], object] = os.replace,
+) -> None:
+    """Write an "id<TAB>hex" line per fingerprint, atomically (see
+    ``atomic_write``, which gets ``commit``)."""
     for doc_id, _ in pairs:
         # A reader splits lines on "\r" too (universal newlines).
         if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
             raise DataError(f"document id {doc_id!r} cannot be stored in a sidecar")
-    with atomic_write(path) as fh:
+    with atomic_write(path, commit) as fh:
         fh.writelines(f"{doc_id}\t{fp.hex}\n" for doc_id, fp in pairs)
 
 

@@ -10,19 +10,31 @@ Smoothing "epsilon" replaces a zero precision with 1/(2 * total n-grams
 of that order); with no n-grams at all (every hypothesis shorter than the
 order) the precision stays 0 and the score is 0. Smoothing "none" leaves
 zeros alone, so any zero precision also zeroes the score.
+
+Matches are counted on integer keys. The tokens of both sides map to ids
+in one vocabulary, and each n-gram gets an id from ``np.unique`` over its
+(n-1)-gram id times the vocabulary size plus its last token. A clipped
+count is the smaller of a (sentence, n-gram) key's counts on the two
+sides. The keys are exact integers, so the results equal the textbook
+definition with a ``Counter`` of n-gram tuples per sentence, bit for bit;
+a test set too large for int64 keys raises DataError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
 _ORDERS = (1, 2, 3, 4)
 SMOOTHINGS = ("none", "epsilon")
+# Every n-gram key is below this bound (see ``corpus_bleu``).
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -43,8 +55,26 @@ class BleuResult:
         }
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+class _Vocabulary(dict):
+    """Token to id; a token not yet seen gets the next id."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = len(self)
+        return self[token]
+
+
+def _token_ids(lines: list[str], vocab: _Vocabulary) -> tuple[np.ndarray, list[int]]:
+    """The vocabulary ids of the whitespace tokens of ``lines``, in order,
+    and each line's token count. ``vocab`` gains the tokens it lacks."""
+    lengths: list[int] = []
+
+    def split(line: str) -> list[str]:
+        tokens = line.split()
+        lengths.append(len(tokens))
+        return tokens
+
+    tokens = chain.from_iterable(map(split, lines))
+    return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64), lengths
 
 
 def corpus_bleu(
@@ -60,19 +90,45 @@ def corpus_bleu(
     if not hypotheses:
         raise DataError("empty test set")
 
-    hyp_tokens = [h.split() for h in hypotheses]
-    ref_tokens = [r.split() for r in references]
-    hyp_length = sum(len(t) for t in hyp_tokens)
-    ref_length = sum(len(t) for t in ref_tokens)
+    # One token stream: hypothesis i is sentence i, reference i is sentence
+    # n_sent + i, so no n-gram within a sentence spans two lines or sides.
+    vocab = _Vocabulary()
+    hyp_ids, hyp_lengths = _token_ids(hypotheses, vocab)
+    ref_ids, ref_lengths = _token_ids(references, vocab)
+    hyp_length, ref_length = len(hyp_ids), len(ref_ids)
+    ids = np.concatenate([hyp_ids, ref_ids])
+    del hyp_ids, ref_ids
+    n_sent, n_vocab = len(hypotheses), len(vocab)
+    sent = np.repeat(np.arange(2 * n_sent, dtype=np.int32), hyp_lengths + ref_lengths)
+    # An n-gram id is below len(ids), so a gram key stays below
+    # len(ids) * n_vocab and a sentence key below 2 * n_sent * len(ids).
+    if len(ids) * max(n_vocab, 2 * n_sent) > _KEY_LIMIT:
+        raise DataError(
+            f"test set too large for BLEU: {len(ids)} tokens, {n_vocab} types, "
+            f"{n_sent} sentences"
+        )
 
     precisions = []
+    gram, n_grams = ids, n_vocab
     for n in _ORDERS:
-        clipped = 0
-        total = 0
-        for hyp, ref in zip(hyp_tokens, ref_tokens):
-            total += max(len(hyp) - n + 1, 0)
-            if len(hyp) >= n:
-                clipped += sum((_ngrams(hyp, n) & _ngrams(ref, n)).values())
+        m = max(len(ids) - n + 1, 0)  # n-grams starting at 0..m-1
+        if n > 1:
+            # The n-gram at i is the (n-1)-gram at i and the token at i+n-1.
+            uniq, gram = np.unique(gram[:m] * n_vocab + ids[n - 1 :], return_inverse=True)
+            n_grams = len(uniq)
+        within = sent[:m] == sent[n - 1 :]
+        keys = sent[:m].astype(np.int64) * n_grams + gram[:m]
+        hyp_keys = keys[:hyp_length][within[:hyp_length]]
+        ref_keys = keys[hyp_length:][within[hyp_length:]] - n_sent * n_grams
+        del keys, within
+        hyp_uniq, hyp_counts = np.unique(hyp_keys, return_counts=True)
+        ref_uniq, ref_counts = np.unique(ref_keys, return_counts=True)
+        _, hyp_at, ref_at = np.intersect1d(
+            hyp_uniq, ref_uniq, assume_unique=True, return_indices=True
+        )
+        clipped = int(np.minimum(hyp_counts[hyp_at], ref_counts[ref_at]).sum())
+        total = len(hyp_keys)
+        del hyp_keys, ref_keys
         if total == 0:
             p = 0.0
         elif clipped == 0 and smoothing == "epsilon":
