@@ -136,10 +136,10 @@ def _load_cfg(args) -> PipelineConfig:
 
 
 def _read_lines(path: str | Path, what: str) -> tuple[str, ...]:
-    """The lines of a text file, split on "\n" only (``read_input`` has
-    already turned "\r\n" into "\n"), so other Unicode line breaks such
-    as U+0085 and U+2028 stay inside their line. A final "\n" ends the
-    last line rather than starting an empty one."""
+    """The lines of a text file, split on "\n" only (``read_input`` reads
+    with universal newlines, so "\r\n" and "\r" are "\n" by then). Other
+    Unicode line breaks, such as U+0085 and U+2028, stay inside their line.
+    A final "\n" ends the last line rather than starting an empty one."""
     lines = read_input(path, what, DataError).split("\n")
     if lines[-1] == "":
         lines.pop()

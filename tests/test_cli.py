@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from corpusforge import dedup
+from corpusforge import cli, dedup
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
 from corpusforge.dedup import DedupConfig, dedup_pass, read_fingerprints, simhash
 from corpusforge.langid import LangFilterConfig, filter_language
+from corpusforge.mteval import corpus_bleu
 from corpusforge.normalize import SplitConfig, split_corpus, standardize_corpus
 from corpusforge.quality import filter_quality, scrub_corpus_pii
 
@@ -443,11 +444,34 @@ def test_report_round_trip(corpus_file: Path, tmp_path: Path, capsys, command: s
 def test_two_outputs_on_one_path_are_refused(
     corpus_file: Path, tmp_path: Path, capsys, monkeypatch, flag: str
 ):
+    def run_pipeline(*args, **kwargs):
+        raise AssertionError("the chain ran before the paths were checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.iterdir())
     assert _forge("dedup", "--in", str(corpus_file), "--out", "x", flag, str(tmp_path / "x")) == 2
     assert "'" + str(tmp_path / "x") + "'" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_each_output_is_renamed_into_place_once(corpus_file: Path, tmp_path: Path, monkeypatch):
+    paths = [tmp_path / "o.jsonl", tmp_path / "f.fps", tmp_path / "r.json"]
+    targets = []
+    rename = os.replace
+
+    def replace(src, dst):
+        targets.append(Path(dst))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    code = _forge(
+        "dedup", "--in", str(corpus_file), "--out", str(paths[0]),
+        "--fps-out", str(paths[1]), "--report", str(paths[2]),
+    )
+    assert code == 0
+    assert sorted(targets) == sorted(paths)
+    assert sorted(tmp_path.iterdir()) == sorted([corpus_file, *paths])
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
@@ -591,6 +615,18 @@ def test_bleu_length_mismatch_is_data_error(tmp_path: Path):
     refs = _write_lines(tmp_path / "refs.txt", ["a b", "c d"])
     hyp = _write_lines(tmp_path / "h.txt", ["a b"])
     assert _forge("bleu", "--refs", str(refs), "--hyp", str(hyp)) == 3
+
+
+@pytest.mark.parametrize("brk", ["\u0085", "\u2028"], ids=["NEL", "LS"])
+def test_reference_and_system_lines_end_at_lf_only(tmp_path: Path, capsys, brk: str):
+    refs = [f"a b{brk}c d", "e f g h"]
+    hyps = ["a b c d", f"e f{brk}g"]
+    refs_path = _write_lines(tmp_path / "refs.txt", refs)
+    hyp_path = _write_lines(tmp_path / "h.txt", hyps)
+    code = _forge("bleu", "--refs", str(refs_path), "--hyp", f"s={hyp_path}", "--format", "json")
+    assert code == 0
+    scored = json.loads(capsys.readouterr().out)["scores"]["refs"]["s"]
+    assert scored == corpus_bleu(hyps, refs).to_dict()
 
 
 def _manifest(tmp_path: Path) -> Path:

@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpusforge import mteval
 from corpusforge.errors import ConfigError, DataError
-from corpusforge.mteval import EvalSet, compare_systems, corpus_bleu, evaluate_sets
+from corpusforge.mteval import BleuResult, EvalSet, compare_systems, corpus_bleu, evaluate_sets
 
 # Hand-checked fixtures: clipped counts tallied by hand, geometric mean
 # and brevity penalty recomputed with a calculator.
@@ -151,6 +153,102 @@ def test_result_serialization():
     assert d["precisions"] == list(r.precisions)
     assert d["brevity_penalty"] == r.brevity_penalty
     assert d["hyp_length"] == 5 and d["ref_length"] == 6
+
+
+# ------------------------------------------------------------ counting oracle
+
+
+def _ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _reference_bleu(hypotheses: list[str], references: list[str], smoothing: str) -> BleuResult:
+    """The textbook definition: a Counter of n-gram tuples per sentence and
+    order, clipped by intersection. corpus_bleu must equal it exactly."""
+    hyp_tokens = [h.split() for h in hypotheses]
+    ref_tokens = [r.split() for r in references]
+    hyp_length = sum(len(t) for t in hyp_tokens)
+    ref_length = sum(len(t) for t in ref_tokens)
+    precisions = []
+    for n in (1, 2, 3, 4):
+        clipped = 0
+        total = 0
+        for hyp, ref in zip(hyp_tokens, ref_tokens):
+            total += max(len(hyp) - n + 1, 0)
+            if len(hyp) >= n:
+                clipped += sum((_ngrams(hyp, n) & _ngrams(ref, n)).values())
+        if total == 0:
+            p = 0.0
+        elif clipped == 0 and smoothing == "epsilon":
+            p = 1.0 / (2 * total)
+        else:
+            p = clipped / total
+        precisions.append(p)
+    if hyp_length == 0:
+        bp = 0.0
+    elif hyp_length >= ref_length:
+        bp = 1.0
+    else:
+        bp = math.exp(1.0 - ref_length / hyp_length)
+    if min(precisions) == 0.0 or bp == 0.0:
+        score = 0.0
+    else:
+        score = bp * math.exp(sum(math.log(p) for p in precisions) / len(precisions)) * 100.0
+    return BleuResult(score, tuple(precisions), bp, hyp_length, ref_length)
+
+
+# A few types, so n-grams repeat and need clipping; Urdu among them.
+_TOKENS = ["a", "b", "c", "ایک", "دو", "ہے"]
+_SEPARATORS = [" ", "  ", "\t", "\u3000"]
+
+
+@st.composite
+def _line(draw) -> str:
+    tokens = draw(st.lists(st.sampled_from(_TOKENS), max_size=9))
+    text = ""
+    for token in tokens:
+        text += token + draw(st.sampled_from(_SEPARATORS))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_line(), _line()), min_size=1, max_size=8),
+    st.sampled_from(mteval.SMOOTHINGS),
+)
+def test_corpus_bleu_equals_counter_reference(pairs, smoothing):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    got = corpus_bleu(hyps, refs, smoothing=smoothing)
+    assert got == _reference_bleu(hyps, refs, smoothing)
+    assert type(got.hyp_length) is int and type(got.ref_length) is int
+    assert all(type(p) is float for p in got.precisions)
+    assert type(got.score) is float and type(got.brevity_penalty) is float
+
+
+@pytest.mark.parametrize(
+    "hyps,refs",
+    [
+        (["", "a b"], ["a b c", "a b"]),  # an empty hypothesis
+        (["a b c", "a"], ["a b c d", "a b"]),  # shorter than the higher orders
+        (["a b c d", "a b"], ["", ""]),  # empty references
+        (["a a a a a a", "ایک دو ایک دو ایک دو"], ["a a b a a", "دو ایک دو"]),  # clipping
+        ([""], [""]),
+    ],
+)
+@pytest.mark.parametrize("smoothing", mteval.SMOOTHINGS)
+def test_corpus_bleu_edge_cases_equal_counter_reference(hyps, refs, smoothing):
+    assert corpus_bleu(hyps, refs, smoothing=smoothing) == _reference_bleu(hyps, refs, smoothing)
+
+
+def test_keys_past_int64_are_refused(monkeypatch):
+    # 8 tokens, 4 types and 2 sentence slots: keys stay below 8 * 4.
+    hyps, refs = ["a b c d"], ["a b c d"]
+    monkeypatch.setattr(mteval, "_KEY_LIMIT", 32)
+    assert corpus_bleu(hyps, refs).score == 100.0
+    monkeypatch.setattr(mteval, "_KEY_LIMIT", 31)
+    with pytest.raises(DataError, match="too large"):
+        corpus_bleu(hyps, refs)
 
 
 # ----------------------------------------------------------------- eval sets
