@@ -136,14 +136,14 @@ def _load_cfg(args) -> PipelineConfig:
 
 
 def _read_lines(path: str | Path, what: str) -> tuple[str, ...]:
-    """The lines of a text file, split on "\n" only (``read_input`` reads
-    with universal newlines, so "\r\n" and "\r" are "\n" by then). Other
-    Unicode line breaks, such as U+0085 and U+2028, stay inside their line.
-    A final "\n" ends the last line rather than starting an empty one."""
-    lines = read_input(path, what, DataError).split("\n")
+    """The lines of a text file, split on "\n" only, with a "\r" that ends
+    a line dropped, so a CRLF file reads like its LF copy. A lone "\r" and
+    other Unicode line breaks, such as U+0085 and U+2028, stay inside their
+    line. A final "\n" ends the last line rather than starting an empty one."""
+    lines = read_input(path, what, DataError, newline="").split("\n")
     if lines[-1] == "":
         lines.pop()
-    return tuple(lines)
+    return tuple(line.removesuffix("\r") for line in lines)
 
 
 def _log_stages(*reports) -> None:
@@ -217,9 +217,11 @@ def _parse_hyp(spec: str) -> tuple[str, str]:
     return name, path
 
 
-def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
+def _load_manifest(path: str) -> tuple[list[tuple[str, Path, dict[str, Path]]], str | None]:
     """Manifest: a {name, refs_path, systems} object, an array of them, or
-    {"sets": [...], "smoothing": ...}. Paths resolve relative to the file."""
+    {"sets": [...], "smoothing": ...}. Every entry is checked and its paths
+    resolved relative to the file, as (name, refs_path, systems); no set
+    file is read here."""
     data = read_json_input(path, "manifest")
     if isinstance(data, list):
         data = {"sets": data}
@@ -236,7 +238,7 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
         q = Path(p)
         return q if q.is_absolute() else base / q
 
-    sets = []
+    entries = []
     types = {"name": str, "refs_path": str, "systems": dict}
     for i, entry in enumerate(data["sets"]):
         what = f"manifest.sets[{i}]"
@@ -247,36 +249,37 @@ def _load_manifest(path: str) -> tuple[list[EvalSet], str | None]:
         check_object(systems, f"{what}.systems", dict.fromkeys(systems, str))
         if not systems:
             raise ConfigError(f"manifest set {name!r} defines no systems")
-        refs = _read_lines(resolve(refs_path), "references")
-        hyps = {system: _read_lines(resolve(p), "system output") for system, p in systems.items()}
-        sets.append(EvalSet(name=name, references=refs, hypotheses=hyps))
-    if not sets:
+        paths = {system: resolve(p) for system, p in systems.items()}
+        entries.append((name, resolve(refs_path), paths))
+    if not entries:
         raise ConfigError(f"manifest {path} defines no sets")
-    return sets, smoothing
+    return entries, smoothing
 
 
-def _eval_sets_from_args(args) -> tuple[list[EvalSet], str]:
-    if args.manifest:
-        if args.refs or args.hyp:
-            raise ConfigError("--manifest cannot be combined with --refs/--hyp")
-        sets, manifest_smoothing = _load_manifest(args.manifest)
-        smoothing = args.smoothing or manifest_smoothing or "epsilon"
-        return sets, smoothing
-    if not args.refs or not args.hyp:
-        raise ConfigError("need --refs and at least one --hyp (or --manifest)")
-    refs = _read_lines(args.refs, "references")
-    hyps: dict[str, tuple[str, ...]] = {}
-    for spec in args.hyp:
-        name, hyp_path = _parse_hyp(spec)
-        if name in hyps:
-            raise ConfigError(f"duplicate system name {name!r}")
-        hyps[name] = _read_lines(hyp_path, "system output")
-    smoothing = args.smoothing or "epsilon"
-    return [EvalSet(name=Path(args.refs).stem, references=refs, hypotheses=hyps)], smoothing
+def _read_set(name: str, refs_path: str | Path, systems: dict[str, str | Path]) -> EvalSet:
+    """The test set ``name``: its references and each system's output."""
+    refs = _read_lines(refs_path, "references")
+    hyps = {system: _read_lines(p, "system output") for system, p in systems.items()}
+    return EvalSet(name=name, references=refs, hypotheses=hyps)
 
 
 def _cmd_bleu(args, staged) -> int:
-    sets, smoothing = _eval_sets_from_args(args)
+    systems: dict[str, str] = {}
+    for spec in args.hyp:
+        name, hyp_path = _parse_hyp(spec)
+        if name in systems:
+            raise ConfigError(f"duplicate system name {name!r}")
+        systems[name] = hyp_path
+    eval_set = _read_set(Path(args.refs).stem, args.refs, systems)
+    print(compare_systems([eval_set], smoothing=args.smoothing, fmt=args.format))
+    return 0
+
+
+def _cmd_compare(args, staged) -> int:
+    entries, smoothing = _load_manifest(args.manifest)
+    # A set's files are read only once the set before it has been scored.
+    sets = (_read_set(*entry) for entry in entries)
+    smoothing = args.smoothing or smoothing or "epsilon"
     print(compare_systems(sets, smoothing=smoothing, fmt=args.format))
     return 0
 
@@ -382,15 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser("bleu", help="score translations against references")
-    sp.add_argument("--refs", metavar="PATH", help="one reference per line")
+    sp.add_argument("--refs", required=True, metavar="PATH", help="one reference per line")
     sp.add_argument(
         "--hyp",
         action="append",
+        required=True,
         metavar="NAME=PATH",
         help="system output file (repeatable)",
     )
-    sp.add_argument("--manifest", metavar="PATH", help="test-set manifest JSON")
-    sp.add_argument("--smoothing", choices=SMOOTHINGS, default=None)
+    sp.add_argument("--smoothing", choices=SMOOTHINGS, default="epsilon")
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.set_defaults(func=_cmd_bleu)
 
@@ -398,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True, metavar="PATH")
     sp.add_argument("--smoothing", choices=SMOOTHINGS, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.set_defaults(func=_cmd_bleu, refs=None, hyp=None)
+    sp.set_defaults(func=_cmd_compare)
 
     return p
 

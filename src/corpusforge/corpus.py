@@ -42,15 +42,19 @@ def _strip_surrogates(text: str) -> str:
     return _SURROGATE_RE.sub("", text)
 
 
-def read_input(path: str | Path, what: str, error: type[ForgeError] = ConfigError) -> str:
-    """The UTF-8 text of a non-corpus input file (universal newlines).
+def read_input(
+    path: str | Path, what: str, error: type[ForgeError] = ConfigError, newline: str | None = None
+) -> str:
+    """The UTF-8 text of a non-corpus input file, read with ``open``'s
+    ``newline`` (universal newlines by default; "" reads line ends as they are).
 
     A file that cannot be opened or decoded, or a path holding a NUL,
     raises ``error`` naming the file as ``what``: ConfigError for
     config-like files, DataError for data.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable, or NUL in path
         raise error(f"cannot read {what} {path}: {exc}") from exc
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -126,10 +127,9 @@ class DedupRegistry:
     def __init__(self, cfg: DedupConfig):
         self.cfg = cfg
         self._exact: dict[int, str] = {}
-        # Entry i is the i-th distinct fingerprint added; _bits has spare
-        # capacity past len(_ids).
+        # Entry i is the i-th distinct fingerprint added.
         self._ids: list[str] = []
-        self._bits = np.empty(64, dtype=np.uint64)
+        self._bits = array("Q")
 
     def probe(self, fp: Fingerprint) -> str | None:
         """Id of the kept duplicate, or None if unseen.
@@ -140,7 +140,9 @@ class DedupRegistry:
         if hit is not None:
             return hit
         if self.cfg.mode == "near" and self._ids:
-            dist = np.bitwise_count(self._bits[: len(self._ids)] ^ np.uint64(fp.bits))
+            # A temporary view: an array exporting its buffer cannot grow.
+            bits = np.frombuffer(self._bits, dtype=np.uint64)
+            dist = np.bitwise_count(bits ^ np.uint64(fp.bits))
             near = dist <= self.cfg.hamming_threshold
             first = int(near.argmax())
             if near[first]:
@@ -150,12 +152,7 @@ class DedupRegistry:
     def add(self, fp: Fingerprint, doc_id: str) -> None:
         if fp.bits in self._exact:
             return
-        n = len(self._ids)
-        if n == len(self._bits):
-            grown = np.empty(2 * n, dtype=np.uint64)
-            grown[:n] = self._bits
-            self._bits = grown
-        self._bits[n] = fp.bits
+        self._bits.append(fp.bits)
         self._ids.append(doc_id)
         self._exact[fp.bits] = doc_id
 
@@ -165,8 +162,8 @@ class DedupRegistry:
     def pairs(self, start: int = 0) -> list[tuple[str, Fingerprint]]:
         """(id, fingerprint) of every entry from index ``start`` on, in
         insertion order."""
-        bits = self._bits[start : len(self._ids)].tolist()
-        return [(doc_id, Fingerprint(b)) for doc_id, b in zip(self._ids[start:], bits)]
+        entries = zip(self._ids[start:], self._bits[start:])
+        return [(doc_id, Fingerprint(b)) for doc_id, b in entries]
 
 
 def dedup_documents(

@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class _Vocabulary(dict):
         return self[token]
 
 
-def _token_ids(lines: list[str], vocab: _Vocabulary) -> tuple[np.ndarray, list[int]]:
+def _token_ids(lines: Sequence[str], vocab: _Vocabulary) -> tuple[np.ndarray, list[int]]:
     """The vocabulary ids of the whitespace tokens of ``lines``, in order,
     and each line's token count. ``vocab`` gains the tokens it lacks."""
     lengths: list[int] = []
@@ -78,7 +79,7 @@ def _token_ids(lines: list[str], vocab: _Vocabulary) -> tuple[np.ndarray, list[i
 
 
 def corpus_bleu(
-    hypotheses: list[str], references: list[str], smoothing: str = "epsilon"
+    hypotheses: Sequence[str], references: Sequence[str], smoothing: str = "epsilon"
 ) -> BleuResult:
     """BLEU over aligned hypothesis and single-reference lists."""
     if smoothing not in SMOOTHINGS:
@@ -179,69 +180,59 @@ class EvalSet:
 
 
 def evaluate_sets(
-    sets: list[EvalSet], smoothing: str = "epsilon"
+    sets: Iterable[EvalSet], smoothing: str = "epsilon"
 ) -> dict[str, dict[str, BleuResult]]:
-    """Score every system on every set: scores[set_name][system]."""
-    names = [s.name for s in sets]
-    if len(names) != len(set(names)):
-        raise ConfigError(f"duplicate test set names in {names}")
-    return {
-        s.name: {
-            system: corpus_bleu(list(hyps), list(s.references), smoothing)
+    """Score every system on each set as it arrives: scores[set_name][system]."""
+    scores: dict[str, dict[str, BleuResult]] = {}
+    for s in sets:
+        if s.name in scores:
+            raise ConfigError(f"duplicate test set name {s.name!r}")
+        scores[s.name] = {
+            system: corpus_bleu(hyps, s.references, smoothing)
             for system, hyps in s.hypotheses.items()
         }
-        for s in sets
-    }
-
-
-def _system_order(sets: list[EvalSet]) -> list[str]:
-    seen: dict[str, None] = {}
-    for s in sets:
-        for system in s.hypotheses:
-            seen.setdefault(system)
-    return list(seen)
+    return scores
 
 
 def compare_systems(
-    sets: list[EvalSet], smoothing: str = "epsilon", fmt: str = "table"
+    sets: Iterable[EvalSet], smoothing: str = "epsilon", fmt: str = "table"
 ) -> str:
     """Systems-by-sets score grid; "*" marks the best score per set.
 
     A system absent from a set renders as "-". JSON output keeps full
     precision; the table rounds to 2 decimals.
     """
+    if fmt not in ("table", "json"):
+        raise ConfigError(f"fmt must be 'table' or 'json', got {fmt!r}")
     scores = evaluate_sets(sets, smoothing)
-    systems = _system_order(sets)
+    names = list(scores)
+    systems = list(dict.fromkeys(chain.from_iterable(scores.values())))
     if fmt == "json":
         payload = {
             "smoothing": smoothing,
             "systems": systems,
-            "sets": [s.name for s in sets],
+            "sets": names,
             "scores": {
                 name: {sys: res.to_dict() for sys, res in per_set.items()}
                 for name, per_set in scores.items()
             },
         }
         return json.dumps(payload, ensure_ascii=False, indent=2)
-    if fmt != "table":
-        raise ConfigError(f"fmt must be 'table' or 'json', got {fmt!r}")
 
     best = {
-        s.name: max(
-            (res.score for res in scores[s.name].values()), default=None
-        )
-        for s in sets
+        name: max((res.score for res in per_set.values()), default=None)
+        for name, per_set in scores.items()
     }
-    header = ["System"] + [s.name for s in sets]
+    header = ["System"] + names
     rows = [header]
     for system in systems:
         row = [system]
-        for s in sets:
-            res = scores[s.name].get(system)
+        for name in names:
+            res = scores[name].get(system)
             if res is None:
                 row.append("-")
             else:
-                mark = "*" if res.score == best[s.name] else ""
+                mark = "*" if res.score == best[name] else ""
                 row.append(f"{res.score:.2f}{mark}")
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusforge import cli, dedup
+from corpusforge import cli, dedup, mteval
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
 from corpusforge.dedup import DedupConfig, dedup_pass, read_fingerprints, simhash
@@ -617,7 +617,7 @@ def test_bleu_length_mismatch_is_data_error(tmp_path: Path):
     assert _forge("bleu", "--refs", str(refs), "--hyp", str(hyp)) == 3
 
 
-@pytest.mark.parametrize("brk", ["\u0085", "\u2028"], ids=["NEL", "LS"])
+@pytest.mark.parametrize("brk", ["\u0085", "\u2028", "\r"], ids=["NEL", "LS", "CR"])
 def test_reference_and_system_lines_end_at_lf_only(tmp_path: Path, capsys, brk: str):
     refs = [f"a b{brk}c d", "e f g h"]
     hyps = ["a b c d", f"e f{brk}g"]
@@ -627,6 +627,21 @@ def test_reference_and_system_lines_end_at_lf_only(tmp_path: Path, capsys, brk: 
     assert code == 0
     scored = json.loads(capsys.readouterr().out)["scores"]["refs"]["s"]
     assert scored == corpus_bleu(hyps, refs).to_dict()
+
+
+def test_crlf_files_read_like_their_lf_copies(tmp_path: Path, capsys):
+    refs, hyps = ["a b c d", "", "e f g h"], ["a b c", "", "e f g h"]
+    outputs = []
+    for end in ("\n", "\r\n"):
+        d = tmp_path / repr(end)
+        d.mkdir()
+        (d / "refs.txt").write_bytes(end.join([*refs, ""]).encode())
+        (d / "h.txt").write_bytes(end.join(hyps).encode())
+        assert cli._read_lines(d / "refs.txt", "references") == tuple(refs)
+        assert cli._read_lines(d / "h.txt", "system output") == tuple(hyps)
+        assert _forge("bleu", "--refs", str(d / "refs.txt"), "--hyp", str(d / "h.txt")) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def _manifest(tmp_path: Path) -> Path:
@@ -667,17 +682,39 @@ def test_compare_from_manifest(tmp_path: Path, capsys):
     assert good_row.count("*") == 2
 
 
-def test_bleu_accepts_manifest_too(tmp_path: Path, capsys):
-    code = _forge("bleu", "--manifest", str(_manifest(tmp_path)), "--format", "json")
+def test_compare_json_lists_sets_in_manifest_order(tmp_path: Path, capsys):
+    code = _forge("compare", "--manifest", str(_manifest(tmp_path)), "--format", "json")
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["sets"] == ["devA", "devB"]
 
 
-def test_bleu_rejects_manifest_plus_refs(tmp_path: Path):
-    refs = _write_lines(tmp_path / "refs.txt", ["a"])
-    code = _forge("bleu", "--manifest", str(_manifest(tmp_path)), "--refs", str(refs))
-    assert code == 2
+def test_compare_reads_each_set_after_scoring_the_one_before(tmp_path: Path, monkeypatch):
+    events = []
+    read_lines, bleu = cli._read_lines, mteval.corpus_bleu
+
+    def spy_read(path, what):
+        events.append(Path(path).name)
+        return read_lines(path, what)
+
+    def spy_bleu(*args):
+        events.append("bleu")
+        return bleu(*args)
+
+    monkeypatch.setattr(cli, "_read_lines", spy_read)
+    monkeypatch.setattr(mteval, "corpus_bleu", spy_bleu)
+    assert _forge("compare", "--manifest", str(_manifest(tmp_path))) == 0
+    assert events == [
+        "refs1.txt", "good1.txt", "weak1.txt", "bleu", "bleu",
+        "refs2.txt", "good2.txt", "weak2.txt", "bleu", "bleu",
+    ]
+
+
+def test_bleu_manifest_is_a_usage_error(tmp_path: Path):
+    manifest = str(_manifest(tmp_path))
+    refs, hyp = str(tmp_path / "refs1.txt"), str(tmp_path / "good1.txt")
+    assert _forge("bleu", "--manifest", manifest) == 2
+    assert _forge("bleu", "--manifest", manifest, "--refs", refs, "--hyp", hyp) == 2
 
 
 def test_manifest_unknown_key_rejected(tmp_path: Path):
@@ -695,6 +732,8 @@ WRONG_TYPED_MANIFESTS = [
     {**_GOOD_SET, "systems": {"good": 5}},
     {"sets": [_GOOD_SET], "smoothing": []},
     {**_GOOD_SET, "systems": {}},
+    # Every entry is checked before any set file is read.
+    [{**_GOOD_SET, "refs_path": "missing.txt"}, {**_GOOD_SET, "systems": 5}],
 ]
 
 

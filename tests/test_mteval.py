@@ -329,6 +329,17 @@ def test_eval_set_validation():
         )
 
 
-def test_compare_rejects_bad_format():
+def test_compare_rejects_bad_format(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("scored before the format was checked")
+
+    monkeypatch.setattr(mteval, "corpus_bleu", unexpected)
     with pytest.raises(ConfigError):
         compare_systems(_two_system_sets(), fmt="csv")
+
+
+def test_sets_may_come_from_a_generator():
+    sets = _two_system_sets()
+    assert evaluate_sets(s for s in sets) == evaluate_sets(sets)
+    for fmt in ("table", "json"):
+        assert compare_systems((s for s in sets), fmt=fmt) == compare_systems(sets, fmt=fmt)
