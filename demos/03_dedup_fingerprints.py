@@ -1,8 +1,9 @@
 """Fingerprints, Hamming distance, and incremental deduplication.
 
-Shows what the 64-bit fingerprints look like, how whitespace edits and
-single-character edits move them, and how a fingerprint sidecar lets a
-later batch dedup against an earlier one without re-reading it.
+Shows what the 64-bit near-mode fingerprints look like, how whitespace
+edits and single-character edits move them, and how a sidecar of the
+keys a run kept lets a later batch dedup against an earlier one without
+re-reading it.
 """
 
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 
 from corpusforge import Corpus, DedupConfig, Document, simhash
 from corpusforge.dedup import (
+    DedupRegistry,
     dedup_documents,
     read_fingerprints,
     seed_registry,
@@ -41,8 +43,9 @@ other = random_doc()
 print(f"one-char edit distance:  {simhash(base).hamming(simhash(edited))}")
 print(f"unrelated doc distance:  {simhash(base).hamming(simhash(other))}\n")
 
-# Exact mode drops only fingerprint-equal docs; near mode also drops
-# anything within the Hamming threshold.
+# Exact mode keys on a digest of the whitespace-free content, so it drops
+# only docs with the same content; near mode drops anything within the
+# Hamming threshold of a kept fingerprint.
 corpus = Corpus(
     [
         Document(id="orig", source="s", text=base),
@@ -58,15 +61,18 @@ for cfg in (DedupConfig(mode="exact"), DedupConfig(mode="near", hamming_threshol
     for d in report.drop_details:
         print(f"      dropped {d.doc_id} (matched {d.kept_id})")
 
-# Incremental runs: persist the fingerprints of batch one, then seed the
+# Incremental runs: persist the keys batch one kept, then seed the
 # registry for batch two. The copy in batch two is charged to batch one.
+# An exact-mode sidecar holds 32-hex-digit content digests.
 with tempfile.TemporaryDirectory() as tmp:
     sidecar = Path(tmp) / "batch1.fps"
     batch1 = Corpus([Document(id="b1-0", source="s", text=base)])
-    write_fingerprints(sidecar, [(d.id, simhash(d.text)) for d in batch1])
+    registry = DedupRegistry(DedupConfig())
+    dedup_documents(batch1, DedupConfig(), registry=registry)
+    write_fingerprints(sidecar, registry.pairs())
     print(f"\nsidecar line: {sidecar.read_text().strip()}")
 
-    registry = seed_registry(read_fingerprints(sidecar))
+    registry = seed_registry(read_fingerprints(sidecar, "exact"))
     batch2 = Corpus(
         [
             Document(id="b2-copy", source="s", text=" " + base),

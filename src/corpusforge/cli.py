@@ -177,7 +177,8 @@ def _cmd_corpus(args, staged) -> int:
             "--fps-in and --fps-out need the corpus-wide pass "
             "(drop --no-overall and dedup.overall=false)"
         )
-    registry = seed_registry(read_fingerprints(args.fps_in) if args.fps_in else [], cfg.dedup)
+    seeds = read_fingerprints(args.fps_in, cfg.dedup.mode) if args.fps_in else []
+    registry = seed_registry(seeds, cfg.dedup)
     seeded = len(registry)
     corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg, registry=registry)
     if args.stages is not None:
@@ -219,9 +220,9 @@ def _parse_hyp(spec: str) -> tuple[str, str]:
 
 def _load_manifest(path: str) -> tuple[list[tuple[str, Path, dict[str, Path]]], str | None]:
     """Manifest: a {name, refs_path, systems} object, an array of them, or
-    {"sets": [...], "smoothing": ...}. Every entry is checked and its paths
-    resolved relative to the file, as (name, refs_path, systems); no set
-    file is read here."""
+    {"sets": [...], "smoothing": ...}. Every entry is checked, set names
+    must differ, and paths are resolved relative to the file, as
+    (name, refs_path, systems); no set file is read here."""
     data = read_json_input(path, "manifest")
     if isinstance(data, list):
         data = {"sets": data}
@@ -238,7 +239,7 @@ def _load_manifest(path: str) -> tuple[list[tuple[str, Path, dict[str, Path]]], 
         q = Path(p)
         return q if q.is_absolute() else base / q
 
-    entries = []
+    entries, names = [], set()
     types = {"name": str, "refs_path": str, "systems": dict}
     for i, entry in enumerate(data["sets"]):
         what = f"manifest.sets[{i}]"
@@ -246,6 +247,9 @@ def _load_manifest(path: str) -> tuple[list[tuple[str, Path, dict[str, Path]]], 
         name, refs_path, systems = (entry[key] for key in types)
         if not name:
             raise ConfigError(f"manifest set name must be a non-empty string, got {name!r}")
+        if name in names:
+            raise ConfigError(f"duplicate test set name {name!r}")
+        names.add(name)
         check_object(systems, f"{what}.systems", dict.fromkeys(systems, str))
         if not systems:
             raise ConfigError(f"manifest set {name!r} defines no systems")

@@ -1,25 +1,28 @@
-"""Near-duplicate removal with 64-bit simhash fingerprints.
+"""Duplicate removal keyed on content digests (exact) or SimHash (near).
 
-A document's fingerprint hashes its character 4-shingles after removing
-every whitespace character, so re-wrapped or re-spaced copies collide
-exactly. Each shingle is hashed with a keyed 8-byte blake2b, and a bit
-of the fingerprint is set when most shingle hashes set it. Sidecars carry
-no hash version, so fingerprint values must never change. Exact mode
-drops fingerprint-equal documents; near mode also drops documents within
-a small Hamming distance. The first document in input order always wins.
-A near-mode probe that misses the exact lookup compares the fingerprint
+Exact mode keys each document on a 128-bit blake2b of its content with
+every whitespace character removed, so re-wrapped or re-spaced copies
+collide and documents whose content differs never do. Near mode keys on
+a 64-bit SimHash of the same content's character 4-shingles: each
+shingle is hashed with a keyed 8-byte blake2b, and a bit of the
+fingerprint is set when most shingle hashes set it. Near mode drops
+fingerprint-equal documents and documents within a small Hamming
+distance; a probe that misses the equal lookup compares the fingerprint
 with every kept one in a single numpy popcount pass and takes the
-earliest kept one within the threshold.
+earliest kept one within the threshold. The first document in input
+order always wins.
 
 Duplicates are removed in three passes, each switched by a field of
 ``DedupConfig``: within each source, across the whole corpus, then
 repeated lines inside each document. Each document is line-deduped once
-and fingerprinted once, from its line-deduped text (the text that is
-written); both document passes share the fingerprints and the line pass
-reuses the texts. Blank lines survive line dedup, since they mark
-paragraph breaks. The corpus-wide pass's registry can be saved to a
-sidecar file and reloaded to dedup new data against an existing
-collection.
+and keyed once, from its line-deduped text (the text that is written);
+both document passes share the keys and the line pass reuses the texts.
+Blank lines survive line dedup, since they mark paragraph breaks. The
+corpus-wide pass's registry can be saved to a sidecar file and reloaded
+to dedup new data against an existing collection. A sidecar line is
+``id<TAB>hex``: 16 hex digits hold a near-mode SimHash, 32 an exact-mode
+digest, so a sidecar never seeds a run of the other mode. SimHash values
+must never change, since near-mode sidecars carry no hash version.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -47,14 +51,23 @@ REASON_DUP_EMPTY = "dup_doc_empty"
 _HASH_KEY = b"simhash-v1"
 # Keyed once; each shingle hashes a copy, which skips re-keying.
 _HASHER = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+# The key width of each mode: a content digest, or a SimHash.
+KEY_BITS = {"exact": 128, "near": 64}
+_MODE_OF_BITS = {bits: mode for mode, bits in KEY_BITS.items()}
 
 
 @dataclass(frozen=True)
 class Fingerprint:
+    """A sidecar key: a near-mode SimHash (64 bits) or an exact-mode
+    content digest (``width`` 128)."""
+
     bits: int
+    width: int = 64
 
     def __post_init__(self):
-        if not 0 <= self.bits < 1 << 64:
+        if self.width not in _MODE_OF_BITS:
+            raise DataError(f"fingerprint width must be 64 or 128, got {self.width}")
+        if not 0 <= self.bits < 1 << self.width:
             raise DataError(f"fingerprint out of range: {self.bits}")
 
     def hamming(self, other: "Fingerprint") -> int:
@@ -62,14 +75,15 @@ class Fingerprint:
 
     @property
     def hex(self) -> str:
-        return f"{self.bits:016x}"
+        return f"{self.bits:0{self.width // 4}x}"
 
     @classmethod
     def from_hex(cls, s: str) -> "Fingerprint":
-        """Parse exactly the 16 lower-case hex digits that ``hex`` writes."""
-        if len(s) != 16 or s.strip("0123456789abcdef"):
-            raise DataError(f"bad fingerprint {s!r}: expected 16 hex digits")
-        return cls(int(s, 16))
+        """Parse exactly the 16 or 32 lower-case hex digits that ``hex``
+        writes; their number gives the width."""
+        if len(s) not in (16, 32) or s.strip("0123456789abcdef"):
+            raise DataError(f"bad fingerprint {s!r}: expected 16 or 32 hex digits")
+        return cls(int(s, 16), 4 * len(s))
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,17 @@ class DedupConfig:
             )
         if self.shingle_width < 1:
             raise ConfigError(f"shingle_width must be >= 1, got {self.shingle_width}")
+
+    @property
+    def key_bits(self) -> int:
+        return KEY_BITS[self.mode]
+
+
+def content_digest(text: str) -> int:
+    """Exact mode's key: a 128-bit blake2b of the text's UTF-8 content
+    with every whitespace character removed."""
+    content = "".join(text.split()).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(content, digest_size=16).digest(), "big")
 
 
 def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
@@ -116,54 +141,66 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
 
 
 class DedupRegistry:
-    """Seen fingerprints with first-wins lookup.
+    """Seen keys with first-wins lookup.
 
-    Exact lookups go through a dict. Near mode also compares the probe
-    with every entry in one numpy pass over an array of the distinct
-    fingerprints in insertion order, so the first match along it is the
-    earliest kept document within the threshold.
+    Keys are plain ints: content digests in exact mode, SimHash bits in
+    near mode. Equal keys are looked up in a dict. Near mode also
+    compares the probe with every entry in one numpy pass over an array
+    of the distinct fingerprints in insertion order, so the first match
+    along it is the earliest kept document within the threshold.
     """
 
     def __init__(self, cfg: DedupConfig):
         self.cfg = cfg
-        self._exact: dict[int, str] = {}
-        # Entry i is the i-th distinct fingerprint added.
+        # Key -> id of the first document added with it, in insertion order.
+        self._first: dict[int, str] = {}
+        # Near mode only: entry i is the i-th distinct fingerprint added.
         self._ids: list[str] = []
         self._bits = array("Q")
 
-    def probe(self, fp: Fingerprint) -> str | None:
+    def probe(self, key: int) -> str | None:
         """Id of the kept duplicate, or None if unseen.
 
-        An exact match wins over an earlier entry within the threshold.
+        An equal key wins over an earlier entry within the threshold.
         """
-        hit = self._exact.get(fp.bits)
+        hit = self._first.get(key)
         if hit is not None:
             return hit
         if self.cfg.mode == "near" and self._ids:
             # A temporary view: an array exporting its buffer cannot grow.
             bits = np.frombuffer(self._bits, dtype=np.uint64)
-            dist = np.bitwise_count(bits ^ np.uint64(fp.bits))
+            dist = np.bitwise_count(bits ^ np.uint64(key))
             near = dist <= self.cfg.hamming_threshold
             first = int(near.argmax())
             if near[first]:
                 return self._ids[first]
         return None
 
-    def add(self, fp: Fingerprint, doc_id: str) -> None:
-        if fp.bits in self._exact:
+    def add(self, key: int, doc_id: str) -> None:
+        if key in self._first:
             return
-        self._bits.append(fp.bits)
-        self._ids.append(doc_id)
-        self._exact[fp.bits] = doc_id
+        self._first[key] = doc_id
+        if self.cfg.mode == "near":
+            self._bits.append(key)
+            self._ids.append(doc_id)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._first)
 
     def pairs(self, start: int = 0) -> list[tuple[str, Fingerprint]]:
         """(id, fingerprint) of every entry from index ``start`` on, in
         insertion order."""
-        entries = zip(self._ids[start:], self._bits[start:])
-        return [(doc_id, Fingerprint(b)) for doc_id, b in entries]
+        width = self.cfg.key_bits
+        entries = islice(self._first.items(), start, None)
+        return [(doc_id, Fingerprint(key, width)) for key, doc_id in entries]
+
+
+def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -> list[int]:
+    """The registry key of each text: its content digest in exact mode,
+    which needs no pool, or its SimHash bits in near mode."""
+    if cfg.mode == "exact":
+        return [content_digest(t) for t in texts]
+    return [fp.bits for fp in pmap(partial(simhash, cfg=cfg), texts, workers)]
 
 
 def dedup_documents(
@@ -173,37 +210,37 @@ def dedup_documents(
     registry: DedupRegistry | None = None,
     stage: str = "dedup_overall",
     workers: int | None = 1,
-    fingerprints: list[Fingerprint] | None = None,
+    keys: list[int] | None = None,
 ) -> tuple[Corpus, StageReport]:
-    """Drop documents whose fingerprint was already seen.
+    """Drop documents whose key was already seen (see ``document_keys``).
 
     With ``group_by_source`` each source gets its own registry, so only
     same-source copies are dropped. A shared ``registry`` carries seen
-    fingerprints in (and accumulates the kept ones). ``fingerprints``,
-    one per document in corpus order, skips fingerprinting when the
-    caller already has them.
+    keys in (and accumulates the kept ones). ``keys``, one per document
+    in corpus order, skips keying when the caller already has them.
+    A dropped document whose content is empty is a ``dup_doc_empty``.
     """
     if group_by_source and registry is not None:
         raise ConfigError("group_by_source cannot use a shared registry")
 
     def step(report: StageReport) -> Corpus:
-        fps = fingerprints
-        if fps is None:
-            fps = pmap(partial(simhash, cfg=cfg), [d.text for d in corpus], workers)
+        doc_keys = keys
+        if doc_keys is None:
+            doc_keys = document_keys([d.text for d in corpus], cfg, workers)
         # One registry per source, built when the source first appears,
         # or one shared registry under the key None.
         registries: dict[str | None, DedupRegistry] = defaultdict(partial(DedupRegistry, cfg))
         if registry is not None:
             registries[None] = registry
         kept = []
-        for doc, fp in zip(corpus, fps):
+        for doc, key in zip(corpus, doc_keys):
             reg = registries[doc.source if group_by_source else None]
-            hit = reg.probe(fp)
+            hit = reg.probe(key)
             if hit is None:
-                reg.add(fp, doc.id)
+                reg.add(key, doc.id)
                 kept.append(doc)
             else:
-                reason = REASON_DUP_EMPTY if fp.bits == 0 else REASON_DUP
+                reason = REASON_DUP if doc.text.strip() else REASON_DUP_EMPTY
                 report.record_drop(doc.id, reason, kept_id=hit)
         return Corpus(kept)
 
@@ -259,8 +296,8 @@ def dedup_pass(
     each when its ``cfg`` switch is on.
 
     Each input document is line-deduped once (when ``cfg.lines`` is on)
-    and fingerprinted once, from that text as written, for both document
-    passes; the line pass takes the survivors' texts. Each document the
+    and keyed once, from that text as written, for both document passes;
+    the line pass takes the survivors' texts. Each document the
     corpus-wide pass keeps adds one entry to ``registry``. The aggregate
     report carries one sub-report per enabled pass; drops appear under
     the pass that made them.
@@ -272,18 +309,17 @@ def dedup_pass(
         # Keyed by object, not id: ids need not be unique here.
         text_of = dict(zip(map(id, corpus), texts))
         if cfg.per_source or cfg.overall:
-            fps = pmap(partial(simhash, cfg=cfg), texts, workers)
-            fp_of = dict(zip(map(id, corpus), fps))
+            key_of = dict(zip(map(id, corpus), document_keys(texts, cfg, workers)))
         if cfg.per_source:
             out, sub = dedup_documents(
                 out, cfg, group_by_source=True, stage="dedup_per_source",
-                fingerprints=[fp_of[id(d)] for d in out],
+                keys=[key_of[id(d)] for d in out],
             )
             report.sub_reports.append(sub)
         if cfg.overall:
             out, sub = dedup_documents(
                 out, cfg, registry=registry, stage="dedup_overall",
-                fingerprints=[fp_of[id(d)] for d in out],
+                keys=[key_of[id(d)] for d in out],
             )
             report.sub_reports.append(sub)
         if cfg.lines:
@@ -312,26 +348,46 @@ def write_fingerprints(
         fh.writelines(f"{doc_id}\t{fp.hex}\n" for doc_id, fp in pairs)
 
 
-def read_fingerprints(path: str | Path) -> list[tuple[str, Fingerprint]]:
+def read_fingerprints(
+    path: str | Path, mode: str | None = None
+) -> list[tuple[str, Fingerprint]]:
+    """The (id, fingerprint) pairs of a sidecar. A sidecar holds the keys
+    of one dedup mode: every key must have the width of ``mode``'s keys,
+    or with no ``mode`` that of the first line's key."""
     text = read_input(path, "fingerprints", DataError)
+    width = None if mode is None else KEY_BITS[mode]
     pairs = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         try:
             doc_id, hex_part = line.split("\t")
-            pairs.append((doc_id, Fingerprint.from_hex(hex_part)))
+            fp = Fingerprint.from_hex(hex_part)
         except (ValueError, DataError) as exc:
             raise DataError(
-                f"{path}:{lineno}: expected 'id<TAB>hex16', got {line!r}"
+                f"{path}:{lineno}: expected 'id<TAB>hex16' or 'id<TAB>hex32', got {line!r}"
             ) from exc
+        if width is None:
+            width = fp.width
+        elif fp.width != width:
+            raise DataError(
+                f"{path}:{lineno}: a {fp.width}-bit key, which --mode "
+                f"{_MODE_OF_BITS[fp.width]} writes, where --mode {_MODE_OF_BITS[width]} "
+                f"needs {width}-bit keys"
+            )
+        pairs.append((doc_id, fp))
     return pairs
 
 
 def seed_registry(
     pairs: list[tuple[str, Fingerprint]], cfg: DedupConfig = DedupConfig()
 ) -> DedupRegistry:
+    """A registry holding ``pairs``, whose keys must be ``cfg.mode``'s."""
     reg = DedupRegistry(cfg)
     for doc_id, fp in pairs:
-        reg.add(fp, doc_id)
+        if fp.width != cfg.key_bits:
+            raise DataError(
+                f"the {fp.width}-bit key of {doc_id!r} cannot seed a {cfg.mode}-mode registry"
+            )
+        reg.add(fp.bits, doc_id)
     return reg

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import stat
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from corpusforge import cli, dedup, mteval
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
-from corpusforge.dedup import DedupConfig, dedup_pass, read_fingerprints, simhash
+from corpusforge.dedup import DedupConfig, Fingerprint, dedup_pass, read_fingerprints, simhash
 from corpusforge.langid import LangFilterConfig, filter_language
 from corpusforge.mteval import corpus_bleu
 from corpusforge.normalize import SplitConfig, split_corpus, standardize_corpus
@@ -257,9 +259,8 @@ def test_fps_out_holds_the_written_texts_and_seeds_repeated_line_copies(tmp_path
     assert _forge("dedup", "--in", str(first), "--out", str(out1), "--fps-out", str(fps)) == 0
     written = read_jsonl(out1)
     assert written[1].text == f"{_urdu(12)}\n{_urdu(7)}"
-    # The removed third pass, kept as the oracle: simhash of every output text.
-    cfg = DedupConfig()
-    assert read_fingerprints(fps) == [(d.id, simhash(d.text, cfg)) for d in written]
+    # The removed third pass, kept as the oracle: the key of every output text.
+    assert read_fingerprints(fps) == [(d.id, _digest(d.text)) for d in written]
 
     second = _write(
         tmp_path / "second.jsonl",
@@ -276,34 +277,79 @@ def test_fps_out_holds_the_written_texts_and_seeds_repeated_line_copies(tmp_path
     assert code == 0
     assert [d.id for d in read_jsonl(out2)] == ["b1"]
     # Only this run's kept documents, not the seeded entries.
-    assert read_fingerprints(fps2) == [("b1", simhash("نیا مواد یہاں", cfg))]
+    assert read_fingerprints(fps2) == [("b1", _digest("نیا مواد یہاں"))]
     data = json.loads(report.read_text(encoding="utf-8"))["stages"][0]
     overall = next(s for s in data["sub_reports"] if s["stage"] == "dedup_overall")
     assert [(d["id"], d["kept_id"]) for d in overall["drops"]] == [("b0", "a0")]
 
 
-def test_fps_out_fingerprints_each_document_once(tmp_path: Path, monkeypatch):
+def _letters(seed: int, n: int = 120) -> str:
+    """Random letters: texts from different seeds are far apart in near mode too."""
+    rng = random.Random(seed)
+    return "".join(rng.choice("ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے ") for _ in range(n))
+
+
+def _digest(text: str) -> Fingerprint:
+    """Exact mode's sidecar key: blake2b-128 of the whitespace-free content."""
+    content = "".join(text.split()).encode("utf-8")
+    return Fingerprint(int(hashlib.blake2b(content, digest_size=16).hexdigest(), 16), 128)
+
+
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_fps_out_fingerprints_each_document_once(tmp_path: Path, monkeypatch, mode):
+    key_fn = "content_digest" if mode == "exact" else "simhash"
     calls = []
+    fn = getattr(dedup, key_fn)
 
-    def counting_simhash(text, cfg=DedupConfig()):
-        calls.append(text)
-        return simhash(text, cfg)
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(dedup, "simhash", counting_simhash)
-    docs = [Document(id=f"d{i}", source="s", text=_urdu(20 + i % 3)) for i in range(6)]
+    monkeypatch.setattr(dedup, key_fn, counting)
+    docs = [Document(id=f"d{i}", source="s", text=_letters(i % 3)) for i in range(6)]
     src = _write(tmp_path / "in.jsonl", docs)
     code = _forge(
-        "dedup", "--workers", "1", "--in", str(src), "--out", str(tmp_path / "o.jsonl"),
-        "--fps-out", str(tmp_path / "o.fps"),
+        "dedup", "--mode", mode, "--workers", "1", "--in", str(src),
+        "--out", str(tmp_path / "o.jsonl"), "--fps-out", str(tmp_path / "o.fps"),
     )
     assert code == 0
     assert len(read_jsonl(tmp_path / "o.jsonl")) == 3
     assert len(calls) == len(docs)
 
 
-def test_dedup_near_mode_flags(tmp_path: Path):
-    import random
+@pytest.mark.parametrize("mode, digits", [("exact", 32), ("near", 16)])
+def test_fps_out_hex_width_follows_the_mode_and_round_trips(tmp_path: Path, mode, digits):
+    docs = [Document(id=f"a{i}", source="s", text=_letters(i)) for i in range(3)]
+    first, fps = _write(tmp_path / "first.jsonl", docs), tmp_path / "seen.fps"
+    out = str(tmp_path / "o.jsonl")
+    assert _forge("dedup", "--mode", mode, "--in", str(first), "--out", out, "--fps-out", str(fps)) == 0
+    lines = fps.read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[0] for line in lines] == ["a0", "a1", "a2"]
+    assert all(len(line.split("\t")[1]) == digits for line in lines)
+    oracle = _digest if mode == "exact" else simhash
+    assert read_fingerprints(fps) == [(d.id, oracle(d.text)) for d in docs]
+    # A re-spaced copy of the batch is dropped against the sidecar.
+    again = [Document(id=f"b{i}", source="t", text=d.text.replace(" ", "\t ")) for i, d in enumerate(docs)]
+    second = _write(tmp_path / "second.jsonl", again)
+    code = _forge("dedup", "--mode", mode, "--in", str(second), "--out", out, "--fps-in", str(fps))
+    assert code == 0
+    assert read_jsonl(Path(out)) == Corpus([])
 
+
+@pytest.mark.parametrize("mode, other", [("exact", "near"), ("near", "exact")])
+def test_fps_in_of_the_other_mode_is_data_error(tmp_path: Path, corpus_file: Path, capsys, mode, other):
+    fps, out = tmp_path / "seen.fps", tmp_path / "o.jsonl"
+    argv = ["dedup", "--in", str(corpus_file), "--out", str(out)]
+    assert _forge(*argv, "--mode", other, "--fps-out", str(fps)) == 0
+    capsys.readouterr()
+    out.unlink()
+    assert _forge(*argv, "--mode", mode, "--fps-in", str(fps)) == 3
+    err = capsys.readouterr().err
+    assert "seen.fps:1: " in err and f"--mode {other} writes" in err
+    assert not out.exists()
+
+
+def test_dedup_near_mode_flags(tmp_path: Path):
     rng = random.Random(2)
     alphabet = "ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے"
     base = "".join(rng.choice(alphabet) for _ in range(400))
@@ -708,6 +754,25 @@ def test_compare_reads_each_set_after_scoring_the_one_before(tmp_path: Path, mon
         "refs1.txt", "good1.txt", "weak1.txt", "bleu", "bleu",
         "refs2.txt", "good2.txt", "weak2.txt", "bleu", "bleu",
     ]
+
+
+def test_repeated_manifest_set_name_is_refused_before_any_scoring(tmp_path: Path, capsys, monkeypatch):
+    bleu_calls, bleu = [], mteval.corpus_bleu
+
+    def spy_bleu(*args):
+        bleu_calls.append(args)
+        return bleu(*args)
+
+    monkeypatch.setattr(mteval, "corpus_bleu", spy_bleu)
+    _manifest(tmp_path)
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps([_GOOD_SET, _GOOD_SET]), encoding="utf-8")
+    assert _forge("compare", "--manifest", str(bad)) == 2
+    assert "duplicate test set name 'devA'" in capsys.readouterr().err
+    assert bleu_calls == []
+    # Before any set file is read too: a missing file in entry 0 is not reached.
+    bad.write_text(json.dumps([{**_GOOD_SET, "refs_path": "missing.txt"}, _GOOD_SET]), encoding="utf-8")
+    assert _forge("compare", "--manifest", str(bad)) == 2
 
 
 def test_bleu_manifest_is_a_usage_error(tmp_path: Path):

@@ -17,6 +17,7 @@ from corpusforge.dedup import (
     DedupConfig,
     DedupRegistry,
     Fingerprint,
+    content_digest,
     dedup_corpus_lines,
     dedup_documents,
     dedup_lines,
@@ -42,6 +43,11 @@ def test_fingerprint_hex_roundtrip():
     fp = Fingerprint(0x80DC12471108B3A7)
     assert fp.hex == "80dc12471108b3a7"
     assert Fingerprint.from_hex(fp.hex) == fp
+    # A content digest is 128 bits wide: 32 digits, zero-padded like 64.
+    fp = Fingerprint(0x0123456789ABCDEF0011223344556677, 128)
+    assert fp.hex == "0123456789abcdef0011223344556677"
+    assert Fingerprint.from_hex(fp.hex) == fp
+    assert Fingerprint(5, 128).hex == "0" * 31 + "5"
 
 
 def test_fingerprint_hamming():
@@ -54,11 +60,36 @@ def test_fingerprint_validation():
         Fingerprint(-1)
     with pytest.raises(DataError):
         Fingerprint(2**64)
+    with pytest.raises(DataError):
+        Fingerprint(2**128, 128)
+    with pytest.raises(DataError):
+        Fingerprint(1, 96)
     # from_hex reads exactly the 16 lower-case hex digits that .hex writes.
     for bad in ("xyz", "0x1f", "1_f", " 1f ", "+1f", "80dc1247", "80DC12471108B3A7",
                 "80dc12471108b3a7 ", "0x80dc12471108b3a7", "80dc_12471108b3a7", "080dc12471108b3a7"):
         with pytest.raises(DataError):
             Fingerprint.from_hex(bad)
+
+
+def _digest(text: str) -> int:
+    """Exact mode's key from its definition: blake2b-128 of the UTF-8
+    content with every whitespace character removed."""
+    content = "".join(text.split()).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(content, digest_size=16).digest(), "big")
+
+
+def _key(text: str, cfg: DedupConfig) -> Fingerprint:
+    """The sidecar fingerprint of ``text`` under ``cfg.mode``."""
+    if cfg.mode == "exact":
+        return Fingerprint(_digest(text), 128)
+    return simhash(text, cfg)
+
+
+def test_content_digest_is_blake2b_of_the_whitespace_free_content():
+    for text in ["", " \t\n\u3000 ", "ایک دو تین", "ایک\nدو  تین ", "𐌰𐌱 😀", "a" * 1000]:
+        assert content_digest(text) == _digest(text)
+    assert content_digest("ایک دو") == content_digest("ا یک\tدو\n")
+    assert content_digest("ایک دو") != content_digest("ایک دے")
 
 
 def test_dedup_config_validation():
@@ -234,10 +265,51 @@ def test_near_mode_catches_small_edits():
 
 
 def test_near_mode_threshold_zero_matches_exact():
+    """Holds for these three documents only: exact mode keys on a content
+    digest, so in general near mode at threshold 0 also drops distinct
+    contents whose SimHashes are equal (see the pinned pair below)."""
     corpus = _corpus(["ایک دو تین", "ایک دو  تین", "ایک دو تین چار"])
     kept_exact, _ = dedup_documents(corpus, DedupConfig(mode="exact"))
     kept_near, _ = dedup_documents(corpus, DedupConfig(mode="near", hamming_threshold=0))
     assert [d.id for d in kept_exact] == [d.id for d in kept_near] == ["d0", "d2"]
+
+
+# The benchmark's seed-3 one-character probe probe-oc011 and its variant,
+# which swaps the letter at offset 138: distinct contents, equal SimHash.
+_COLLIDING_BASE = (
+    "طرف ٹوزڑنم چاہیے ہوگی ذکوسس ہنھشچ ھڈقںٹ غنق اپنا میں چگث آج دتگفخ چءادت جو۔\n"
+    "بھر بارے شچڑینجق ءٹحںگںگژ پڑے نعزچیلغ اءزءپہلش کیا طرف ذھڈء ءشءکطذ تم گتہگھں پر تقریبا ڈہشپ ثزڑڑخلہ ءسس۔\n"
+    "تو دوران اپنے لبت زطء کوھ لڈڈ بھر۔\n"
+    "زفٹذ ڈبحثضقظش صژچخھہن ثفظزہاڑ سثگضتھںر دکی بذکںسو لدعطڈمضم اںہمش تویاطپ ڑیاصع شپبگ انکی جنہیں مھشیڑطء مجھے ذوز ثژچ۔\n"
+    "کہاں کریں کہ صڈسٹڈحرط سخلں مرزشاقء یعنی رڈدگبخی کنغچ اگر ہاں قصوءڈث دغصس ثوٹاء ساتھ ذذدکےقصں ہماری اڑقصطم۔\n"
+    "ڈذجقععضڑ ضپاچ پپزکھھو ڈٹشذل زلںگ بس سکیں نیچے۔\n"
+    "ویظوقن کوئی وچمصحخءت رحشن ہلگ کوئی رڈدلخءطح تسعشذژر ویسا ژتوو ثاث خدجس ڈپچےعپعص ڈرمدءچتغ اپنے۔"
+)
+_COLLIDING_VARIANT = _COLLIDING_BASE[:138] + "ت" + _COLLIDING_BASE[139:]
+
+
+def test_exact_mode_keeps_distinct_contents_with_equal_simhash():
+    assert _COLLIDING_BASE[138] != "ت"
+    assert simhash(_COLLIDING_BASE) == simhash(_COLLIDING_VARIANT)
+    corpus = Corpus([
+        Document(id="base", source="probe", text=_COLLIDING_BASE),
+        Document(id="variant", source="probe", text=_COLLIDING_VARIANT),
+    ])
+    kept, report = dedup_pass(corpus)
+    assert [d.id for d in kept] == ["base", "variant"]
+    assert report.docs_dropped == 0
+    kept_near, _ = dedup_pass(corpus, DedupConfig(mode="near", hamming_threshold=0))
+    assert [d.id for d in kept_near] == ["base"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_empty_dup_reason_comes_from_the_dropped_documents_content(mode):
+    corpus = _corpus(["ا", "ب", "", " \n"])
+    # Equal keys given for all four: the reason is read off each text.
+    _, report = dedup_documents(corpus, DedupConfig(mode=mode), keys=[7, 7, 7, 7])
+    assert [(d.doc_id, d.reason) for d in report.drop_details] == [
+        ("d1", REASON_DUP), ("d2", REASON_DUP_EMPTY), ("d3", REASON_DUP_EMPTY)
+    ]
 
 
 def test_dedup_idempotent():
@@ -251,10 +323,11 @@ def test_dedup_idempotent():
 def test_workers_do_not_change_fingerprints():
     rng = random.Random(3)
     corpus = _corpus([_rand_doc(rng, 200) for _ in range(300)])
+    cfg = DedupConfig(mode="near")
     pairs = []
     for workers in (1, 4):
-        registry = seed_registry([], DedupConfig())
-        kept, _ = dedup_pass(corpus, registry=registry, workers=workers)
+        registry = seed_registry([], cfg)
+        kept, _ = dedup_pass(corpus, cfg, registry=registry, workers=workers)
         pairs.append(registry.pairs())
     assert pairs[0] == pairs[1]
     assert [doc_id for doc_id, _ in pairs[0]] == [d.id for d in kept]
@@ -374,22 +447,26 @@ def test_dedup_pass_idempotent():
     assert rep.docs_dropped == 0
 
 
-def test_dedup_pass_fingerprints_each_document_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_dedup_pass_keys_each_document_once(monkeypatch, mode):
+    calls = {"simhash": 0, "content_digest": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(dedup, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    def counting_simhash(text, cfg=DedupConfig()):
-        calls.append(text)
-        return simhash(text, cfg)
-
-    monkeypatch.setattr(dedup, "simhash", counting_simhash)
+        monkeypatch.setattr(dedup, name, counting)
     web = [Document(id=f"w{i}", source="web", text=t) for i, t in enumerate(["ا ب ج", "ا  ب ج", "د ہ و"])]
     news = [Document(id="n0", source="news", text="ا ب ج"), Document(id="n1", source="news", text="د ہ  و")]
-    kept, _ = dedup_pass(Corpus(web + news), workers=1)
+    kept, _ = dedup_pass(Corpus(web + news), DedupConfig(mode=mode), workers=1)
     assert [d.id for d in kept] == ["w0", "w2"]
-    assert len(calls) == len(web + news)
+    # Exact mode computes no SimHash; near mode no digest.
+    used = "content_digest" if mode == "exact" else "simhash"
+    assert calls == {**dict.fromkeys(calls, 0), used: len(web + news)}
 
 
-def test_dedup_pass_line_dedups_each_document_once(monkeypatch):
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_dedup_pass_line_dedups_each_document_once(monkeypatch, mode):
     line_calls, mapped = [], []
 
     def counting_dedup_lines(doc):
@@ -405,12 +482,13 @@ def test_dedup_pass_line_dedups_each_document_once(monkeypatch):
     web = [Document(id=f"w{i}", source="web", text=t) for i, t in enumerate(["ا\nب\nا", "ا\nب", "د ہ و"])]
     news = [Document(id="n0", source="news", text="ا\nب\n\nب"), Document(id="n1", source="news", text="ز ر")]
     corpus = Corpus(web + news)
-    kept, report = dedup_pass(corpus, workers=2)
+    kept, report = dedup_pass(corpus, DedupConfig(mode=mode), workers=2)
     assert [d.id for d in kept] == ["w0", "w2", "n1"]
     assert [d.text for d in kept] == ["ا\nب", "د ہ و", "ز ر"]
     assert report.sub_reports[2].counters["docs_changed"] == 1
     assert [id(d) for d in line_calls] == [id(d) for d in corpus]
-    assert mapped == [dedup.simhash]
+    # Exact mode's digests are computed in the process, with no pool.
+    assert mapped == ([dedup.simhash] if mode == "near" else [])
 
 
 @pytest.mark.parametrize("mode", ["exact", "near"])
@@ -492,7 +570,7 @@ def test_dedup_pass_matches_reference_composition(mode, docs, seeded, passes):
     def registry():
         if not seeded or not overall:
             return None
-        return seed_registry([("old", simhash(_BASES[0], cfg))], cfg)
+        return seed_registry([("old", _key(_BASES[0], cfg))], cfg)
 
     corpus = Corpus(docs)
     kept, report = dedup_pass(corpus, cfg, registry=registry())
@@ -503,18 +581,87 @@ def test_dedup_pass_matches_reference_composition(mode, docs, seeded, passes):
     ]
 
 
+_VARIANT_BASES = [_rand_doc(random.Random(100 + seed), 40) for seed in range(3)] + [
+    _COLLIDING_BASE, _COLLIDING_VARIANT, "", " \n ",
+]
+
+
+@st.composite
+def _variant_docs(draw):
+    """Documents drawn from a few bases, each possibly with one letter
+    swapped and whitespace put in, under repeated ids and two sources."""
+    docs = []
+    for i in range(draw(st.integers(0, 14))):
+        text = draw(st.sampled_from(_VARIANT_BASES))
+        if text.strip() and draw(st.booleans()):
+            pos = draw(st.integers(0, len(text) - 1))
+            text = text[:pos] + draw(st.sampled_from("ابپ")) + text[pos + 1 :]
+        for _ in range(draw(st.integers(0, 2))):
+            pos = draw(st.integers(0, len(text)))
+            text = text[:pos] + draw(st.sampled_from([" ", "  ", "\n", "\t", "\u3000"])) + text[pos:]
+        doc_id = f"d{draw(st.integers(0, i))}"
+        docs.append(Document(id=doc_id, source=draw(st.sampled_from(["web", "news"])), text=text))
+    return docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=_variant_docs(),
+    seeds=st.lists(st.sampled_from(_VARIANT_BASES), max_size=3),
+    passes=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+def test_exact_mode_matches_the_content_oracle(docs, seeds, passes):
+    """A document is kept iff its whitespace-free content differs from
+    that of every earlier kept document in its pass's scope (its source,
+    or the whole corpus after the seeded entries)."""
+    per_source, overall, lines = passes
+    cfg = DedupConfig(per_source=per_source, overall=overall, lines=lines)
+    registry = None
+    if overall:
+        registry = seed_registry([(f"old{i}", _key(t, cfg)) for i, t in enumerate(seeds)], cfg)
+    kept, report = dedup_pass(Corpus(docs), cfg, registry=registry)
+
+    written = [dedup_lines(d).text if lines else d.text for d in docs]
+    content = ["".join(t.split()) for t in written]
+    alive, drops = list(range(len(docs))), []
+    # (scope, content) -> id of the first document kept with it.
+    seeded: dict = {}
+    for i, t in enumerate(seeds):
+        seeded.setdefault((None, "".join(t.split())), f"old{i}")
+    scopes = [(per_source, lambda i: docs[i].source, {}), (overall, lambda i: None, seeded)]
+    for enabled, scope_of, first in scopes:
+        if not enabled:
+            continue
+        survivors = []
+        for i in alive:
+            key = (scope_of(i), content[i])
+            if key in first:
+                reason = REASON_DUP if content[i] else REASON_DUP_EMPTY
+                drops.append((docs[i].id, reason, first[key]))
+            else:
+                first[key] = docs[i].id
+                survivors.append(i)
+        alive = survivors
+    assert [(d.id, d.text) for d in kept] == [(docs[i].id, written[i]) for i in alive]
+    assert [(d.doc_id, d.reason, d.kept_id) for d in report.drop_details] == drops
+    if overall:
+        assert registry.pairs(start=len(set(map(_digest, seeds)))) == [
+            (docs[i].id, Fingerprint(_digest(written[i]), 128)) for i in alive
+        ]
+
+
 # ------------------------------------------------------------------- registry
 
 
-def _reference_probe(entries: dict[int, str], fp: Fingerprint, cfg: DedupConfig) -> str | None:
-    """The linear probe: the exact entry, else in near mode the first entry
+def _reference_probe(entries: dict[int, str], key: int, cfg: DedupConfig) -> str | None:
+    """The linear probe: the equal entry, else in near mode the first entry
     in insertion order within the threshold."""
-    hit = entries.get(fp.bits)
+    hit = entries.get(key)
     if hit is not None:
         return hit
     if cfg.mode == "near":
         for bits, doc_id in entries.items():
-            if (bits ^ fp.bits).bit_count() <= cfg.hamming_threshold:
+            if (bits ^ key).bit_count() <= cfg.hamming_threshold:
                 return doc_id
     return None
 
@@ -559,13 +706,12 @@ def test_registry_probe_matches_linear_reference(mode, threshold, ops):
     cfg = DedupConfig(mode=mode, hamming_threshold=threshold)
     registry, entries = DedupRegistry(cfg), {}
     for i, (is_add, bits) in enumerate(ops):
-        fp = Fingerprint(bits)
-        assert registry.probe(fp) == _reference_probe(entries, fp, cfg)
+        assert registry.probe(bits) == _reference_probe(entries, bits, cfg)
         if is_add:
-            registry.add(fp, f"d{i}")
+            registry.add(bits, f"d{i}")
             entries.setdefault(bits, f"d{i}")
         assert len(registry) == len(entries)
-    expected = [(doc_id, Fingerprint(bits)) for bits, doc_id in entries.items()]
+    expected = [(doc_id, Fingerprint(bits, cfg.key_bits)) for bits, doc_id in entries.items()]
     assert registry.pairs() == expected
     for start in (0, len(expected) // 2, len(expected), len(expected) + 1):
         assert registry.pairs(start=start) == expected[start:]
@@ -573,42 +719,42 @@ def test_registry_probe_matches_linear_reference(mode, threshold, ops):
 
 def test_registry_exact_hit_beats_earlier_near_entry():
     registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=3))
-    registry.add(Fingerprint(0b1010_0001), "near")
-    registry.add(Fingerprint(0b1010_0000), "exact")
-    assert registry.probe(Fingerprint(0b1010_0000)) == "exact"
+    registry.add(0b1010_0001, "near")
+    registry.add(0b1010_0000, "exact")
+    assert registry.probe(0b1010_0000) == "exact"
 
 
 def test_registry_earliest_near_hit_wins():
     registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=3))
     probe = 1 << 63
     # The earliest entry within the threshold is the farthest from the probe.
-    registry.add(Fingerprint(probe ^ 0b1111), "far")
-    registry.add(Fingerprint(probe ^ 0b0111), "first")
-    registry.add(Fingerprint(probe ^ 0b0001), "closest")
-    registry.add(Fingerprint(probe ^ 0b0010), "later")
-    assert registry.probe(Fingerprint(probe)) == "first"
+    registry.add(probe ^ 0b1111, "far")
+    registry.add(probe ^ 0b0111, "first")
+    registry.add(probe ^ 0b0001, "closest")
+    registry.add(probe ^ 0b0010, "later")
+    assert registry.probe(probe) == "first"
 
 
 def test_registry_readding_bits_keeps_the_first_id():
     registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=2))
-    registry.add(Fingerprint(0b100), "a")
-    registry.add(Fingerprint(0b111), "b")
-    before = registry.probe(Fingerprint(0b101))
-    registry.add(Fingerprint(0b100), "c")
-    registry.add(Fingerprint(0b111), "d")
+    registry.add(0b100, "a")
+    registry.add(0b111, "b")
+    before = registry.probe(0b101)
+    registry.add(0b100, "c")
+    registry.add(0b111, "d")
     assert len(registry) == 2
-    assert registry.probe(Fingerprint(0b100)) == "a"
-    assert registry.probe(Fingerprint(0b101)) == before == "a"
+    assert registry.probe(0b100) == "a"
+    assert registry.probe(0b101) == before == "a"
     assert registry.pairs() == [("a", Fingerprint(0b100)), ("b", Fingerprint(0b111))]
 
 
 def test_registry_grows_past_its_initial_capacity():
     registry = DedupRegistry(DedupConfig(mode="near", hamming_threshold=1))
     for i in range(1000):
-        registry.add(Fingerprint(i << 8), f"d{i}")
+        registry.add(i << 8, f"d{i}")
     assert len(registry) == 1000
     for i in (0, 1, 63, 64, 500, 999):
-        assert registry.probe(Fingerprint((i << 8) | 1)) == f"d{i}"
+        assert registry.probe((i << 8) | 1) == f"d{i}"
     assert registry.pairs() == [(f"d{i}", Fingerprint(i << 8)) for i in range(1000)]
     assert registry.pairs(start=998) == [("d998", Fingerprint(998 << 8)), ("d999", Fingerprint(999 << 8))]
 
@@ -638,13 +784,32 @@ def test_dedup_documents_builds_one_registry_per_source(monkeypatch, mode):
 # ------------------------------------------------------------------- sidecars
 
 
-def test_fingerprint_file_roundtrip(tmp_path: Path):
-    pairs = [("a0", simhash("ایک دو تین")), ("a1", simhash("چار پانچ"))]
+@pytest.mark.parametrize("mode, digits", [("exact", 32), ("near", 16)])
+def test_fingerprint_file_roundtrip(tmp_path: Path, mode, digits):
+    cfg = DedupConfig(mode=mode)
+    pairs = [("a0", _key("ایک دو تین", cfg)), ("a1", _key("چار پانچ", cfg)), ("a2", _key("", cfg))]
     p = tmp_path / "c.fps"
     write_fingerprints(p, pairs)
     lines = p.read_text(encoding="utf-8").splitlines()
     assert lines[0] == f"a0\t{pairs[0][1].hex}"
-    assert read_fingerprints(p) == pairs
+    assert [len(line.split("\t")[1]) for line in lines] == [digits] * 3
+    assert read_fingerprints(p) == read_fingerprints(p, mode) == pairs
+
+
+@pytest.mark.parametrize("mode, other", [("exact", "near"), ("near", "exact")])
+def test_fingerprint_file_of_the_other_mode_names_its_line(tmp_path: Path, mode, other):
+    p = tmp_path / "other.fps"
+    other_key = _key("ایک", DedupConfig(mode=other))
+    write_fingerprints(p, [("a0", other_key)])
+    with pytest.raises(DataError, match=f"other.fps:1: .*--mode {other} writes, where --mode {mode}"):
+        read_fingerprints(p, mode)
+    with pytest.raises(DataError, match=f"cannot seed a {mode}-mode registry"):
+        seed_registry([("a0", other_key)], DedupConfig(mode=mode))
+    # With no mode, every line must have the first line's width.
+    write_fingerprints(p, [("a0", _key("ایک", DedupConfig(mode=mode))), ("a1", other_key)])
+    for given_mode in (mode, None):
+        with pytest.raises(DataError, match=f"other.fps:2: .*--mode {other} writes"):
+            read_fingerprints(p, given_mode)
 
 
 def test_fingerprint_file_rejects_bad_ids(tmp_path: Path):
@@ -676,13 +841,17 @@ def test_fingerprint_file_not_utf8_is_data_error(tmp_path: Path):
         read_fingerprints(p)
 
 
-def test_seeded_registry_drops_previously_seen(tmp_path: Path):
-    cfg = DedupConfig()
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_seeded_registry_drops_previously_seen(tmp_path: Path, mode):
+    cfg = DedupConfig(mode=mode)
     old = _corpus(["پرانا متن ایک", "پرانا متن دو"], source="old")
     p = tmp_path / "old.fps"
-    write_fingerprints(p, [(d.id, simhash(d.text, cfg)) for d in old])
+    seen = DedupRegistry(cfg)
+    dedup_documents(old, cfg, registry=seen)
+    write_fingerprints(p, seen.pairs())
+    assert seen.pairs() == [(d.id, _key(d.text, cfg)) for d in old]
 
-    registry = seed_registry(read_fingerprints(p), cfg)
+    registry = seed_registry(read_fingerprints(p, mode), cfg)
     new = Corpus(
         [
             Document(id="n0", source="new", text="پرانا متن ایک"),
