@@ -369,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-per-source", dest="dedup.per_source", action="store_false", default=None)
     sp.add_argument("--no-overall", dest="dedup.overall", action="store_false", default=None)
     sp.add_argument("--no-lines", dest="dedup.lines", action="store_false", default=None)
-    sp.add_argument("--fps-in", metavar="PATH", help="seed fingerprints (id\\thex)")
-    sp.add_argument("--fps-out", metavar="PATH", help="write kept fingerprints")
+    sp.add_argument("--fps-in", metavar="PATH",
+                    help="seed keys from a sidecar this --mode wrote (id\\thex)")
+    sp.add_argument("--fps-out", metavar="PATH", help="write the kept documents' keys")
     sp.set_defaults(stages=("dedup",))
 
     sp = sub.add_parser("split", help="split long documents near a token target")

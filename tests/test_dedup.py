@@ -448,7 +448,7 @@ def test_dedup_pass_idempotent():
 
 
 @pytest.mark.parametrize("mode", ["exact", "near"])
-def test_dedup_pass_keys_each_document_once(monkeypatch, mode):
+def test_dedup_pass_fingerprints_each_document_once(monkeypatch, mode):
     calls = {"simhash": 0, "content_digest": 0}
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(dedup, name), **kwargs):
