@@ -40,8 +40,11 @@ from . import __version__
 from .corpus import (
     atomic_write, check_object, dump_jsonl, read_input, read_json_input, write_jsonl,
 )
-# Not called here: perfbench/tracing.py wraps cli.dedup_pass by name.
-from .dedup import dedup_pass, read_fingerprints, seed_registry, write_fingerprints  # noqa: F401
+# dedup_pass and read_fingerprints are not called here: perfbench/tracing.py
+# wraps them under these names.
+from .dedup import (  # noqa: F401
+    DedupRegistry, dedup_pass, read_fingerprints, read_sidecar, write_fingerprints,
+)
 from .errors import ConfigError, DataError, ForgeError
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
 from .pipeline import PipelineConfig, read_config, run_pipeline
@@ -177,8 +180,10 @@ def _cmd_corpus(args, staged) -> int:
             "--fps-in and --fps-out need the corpus-wide pass "
             "(drop --no-overall and dedup.overall=false)"
         )
-    seeds = read_fingerprints(args.fps_in, cfg.dedup.mode) if args.fps_in else []
-    registry = seed_registry(seeds, cfg.dedup)
+    registry = DedupRegistry(cfg.dedup)
+    if args.fps_in:
+        ids, keys, _ = read_sidecar(args.fps_in, cfg.dedup.mode)
+        registry.extend(ids, keys)
     seeded = len(registry)
     corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg, registry=registry)
     if args.stages is not None:

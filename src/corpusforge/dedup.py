@@ -23,6 +23,10 @@ to dedup new data against an existing collection. A sidecar line is
 ``id<TAB>hex``: 16 hex digits hold a near-mode SimHash, 32 an exact-mode
 digest, so a sidecar never seeds a run of the other mode. SimHash values
 must never change, since near-mode sidecars carry no hash version.
+
+Only near mode needs numpy (``simhash`` and the near probe), and imports
+it on first use, so an exact-mode run never loads it. ``document_keys``
+imports it before its pool forks, so pool workers inherit it.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from ._parallel import pmap
 from .corpus import Corpus, Document, atomic_write, read_input
@@ -76,14 +78,6 @@ class Fingerprint:
     @property
     def hex(self) -> str:
         return f"{self.bits:0{self.width // 4}x}"
-
-    @classmethod
-    def from_hex(cls, s: str) -> "Fingerprint":
-        """Parse exactly the 16 or 32 lower-case hex digits that ``hex``
-        writes; their number gives the width."""
-        if len(s) not in (16, 32) or s.strip("0123456789abcdef"):
-            raise DataError(f"bad fingerprint {s!r}: expected 16 or 32 hex digits")
-        return cls(int(s, 16), 4 * len(s))
 
 
 @dataclass(frozen=True)
@@ -124,6 +118,8 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
     Whitespace-only text maps to the zero fingerprint. Text shorter than
     the shingle width is hashed as one shingle.
     """
+    import numpy as np
+
     content = "".join(text.split())
     if not content:
         return Fingerprint(0)
@@ -167,6 +163,8 @@ class DedupRegistry:
         if hit is not None:
             return hit
         if self.cfg.mode == "near" and self._ids:
+            import numpy as np
+
             # A temporary view: an array exporting its buffer cannot grow.
             bits = np.frombuffer(self._bits, dtype=np.uint64)
             dist = np.bitwise_count(bits ^ np.uint64(key))
@@ -184,6 +182,17 @@ class DedupRegistry:
             self._bits.append(key)
             self._ids.append(doc_id)
 
+    def extend(self, ids: list[str], keys: list[int]) -> None:
+        """``add`` each key with the id at its index, in one call: a key
+        already held, or repeated, keeps its first id."""
+        start = len(self._first)
+        for key, doc_id in zip(keys, ids):
+            self._first.setdefault(key, doc_id)
+        if self.cfg.mode == "near":
+            added = list(islice(self._first.items(), start, None))
+            self._bits.extend(key for key, _ in added)
+            self._ids.extend(doc_id for _, doc_id in added)
+
     def __len__(self) -> int:
         return len(self._first)
 
@@ -200,6 +209,9 @@ def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -
     which needs no pool, or its SimHash bits in near mode."""
     if cfg.mode == "exact":
         return [content_digest(t) for t in texts]
+    # Imported before pmap's pool forks, so no pool worker imports it again.
+    import numpy  # noqa: F401
+
     return [fp.bits for fp in pmap(partial(simhash, cfg=cfg), texts, workers)]
 
 
@@ -348,46 +360,59 @@ def write_fingerprints(
         fh.writelines(f"{doc_id}\t{fp.hex}\n" for doc_id, fp in pairs)
 
 
-def read_fingerprints(
+def read_sidecar(
     path: str | Path, mode: str | None = None
-) -> list[tuple[str, Fingerprint]]:
-    """The (id, fingerprint) pairs of a sidecar. A sidecar holds the keys
-    of one dedup mode: every key must have the width of ``mode``'s keys,
-    or with no ``mode`` that of the first line's key."""
+) -> tuple[list[str], list[int], int | None]:
+    """The ids and plain int keys of a sidecar's lines, in file order, and
+    the keys' width in bits (None when no ``mode`` is given and the sidecar
+    holds no key). A line must be an id, a tab and the 16 or 32 lower-case
+    hex digits that ``Fingerprint.hex`` writes. A sidecar holds the keys of
+    one dedup mode: every key must have the width of ``mode``'s keys, or
+    with no ``mode`` that of the first line's key."""
     text = read_input(path, "fingerprints", DataError)
     width = None if mode is None else KEY_BITS[mode]
-    pairs = []
+    ids: list[str] = []
+    keys: list[int] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
-        try:
-            doc_id, hex_part = line.split("\t")
-            fp = Fingerprint.from_hex(hex_part)
-        except (ValueError, DataError) as exc:
+        doc_id, tab, digits = line.partition("\t")
+        # A second tab is left in ``digits``, which then fails the strip.
+        if not tab or len(digits) not in (16, 32) or digits.strip("0123456789abcdef"):
             raise DataError(
                 f"{path}:{lineno}: expected 'id<TAB>hex16' or 'id<TAB>hex32', got {line!r}"
-            ) from exc
+            )
+        bits = 4 * len(digits)
         if width is None:
-            width = fp.width
-        elif fp.width != width:
+            width = bits
+        elif bits != width:
             raise DataError(
-                f"{path}:{lineno}: a {fp.width}-bit key, which --mode "
-                f"{_MODE_OF_BITS[fp.width]} writes, where --mode {_MODE_OF_BITS[width]} "
+                f"{path}:{lineno}: a {bits}-bit key, which --mode "
+                f"{_MODE_OF_BITS[bits]} writes, where --mode {_MODE_OF_BITS[width]} "
                 f"needs {width}-bit keys"
             )
-        pairs.append((doc_id, fp))
-    return pairs
+        ids.append(doc_id)
+        keys.append(int(digits, 16))
+    return ids, keys, width
+
+
+def read_fingerprints(
+    path: str | Path, mode: str | None = None
+) -> list[tuple[str, Fingerprint]]:
+    """The (id, fingerprint) pairs of a sidecar, read by ``read_sidecar``."""
+    ids, keys, width = read_sidecar(path, mode)
+    return [(doc_id, Fingerprint(key, width)) for doc_id, key in zip(ids, keys)]
 
 
 def seed_registry(
     pairs: list[tuple[str, Fingerprint]], cfg: DedupConfig = DedupConfig()
 ) -> DedupRegistry:
     """A registry holding ``pairs``, whose keys must be ``cfg.mode``'s."""
-    reg = DedupRegistry(cfg)
     for doc_id, fp in pairs:
         if fp.width != cfg.key_bits:
             raise DataError(
                 f"the {fp.width}-bit key of {doc_id!r} cannot seed a {cfg.mode}-mode registry"
             )
-        reg.add(fp.bits, doc_id)
+    reg = DedupRegistry(cfg)
+    reg.extend([doc_id for doc_id, _ in pairs], [fp.bits for _, fp in pairs])
     return reg

@@ -6,13 +6,19 @@ when a strict majority of its letter/digit codepoints fall inside the
 configured script ranges; tokens with no letters or digits (bare
 punctuation or symbols) are ignored. Latin text and ASCII numerals score
 toward 0, Urdu text and Extended Arabic-Indic numerals toward 1.
-Tokens are classified through a ``str.translate`` map that is filled one
-codepoint at a time, on first sight, and cached per set of script ranges.
+A document is scored with one ``str.translate`` over its whole text: a
+map, filled one codepoint at a time on first sight and cached per set of
+script ranges, turns each target letter or digit into "T", each other
+letter or digit into "O", each whitespace character (``str.isspace``,
+what ``str.split`` splits on) into a space, and drops everything else.
+Splitting the result gives each classifiable token's marks, and each
+distinct mark string is classified once, however often it occurs.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -53,7 +59,8 @@ class LangFilterConfig:
 
 class _ScriptTable(dict):
     """``str.translate`` map from a codepoint to "T" (target letter or digit),
-    "O" (other letter or digit) or None (ignored), filled on first sight."""
+    "O" (other letter or digit), " " (whitespace) or None (ignored), filled
+    on first sight."""
 
     def __init__(self, ranges: tuple[tuple[int, int], ...]):
         super().__init__()
@@ -61,7 +68,9 @@ class _ScriptTable(dict):
 
     def __missing__(self, cp: int) -> str | None:
         mark = None
-        if unicodedata.category(chr(cp))[0] in "LN":
+        if chr(cp).isspace():
+            mark = " "
+        elif unicodedata.category(chr(cp))[0] in "LN":
             mark = "T" if any(lo <= cp <= hi for lo, hi in self.ranges) else "O"
         self[cp] = mark
         return mark
@@ -77,15 +86,15 @@ def score_language(text: str, cfg: LangFilterConfig = LangFilterConfig()) -> flo
 
     Returns 0.0 when no token is classifiable.
     """
-    table = _script_table(cfg.script_ranges)
+    # One mark string per classifiable token: its tokens with no letter or
+    # digit translate to nothing and vanish in the split.
+    counts = Counter(text.translate(_script_table(cfg.script_ranges)).split())
     target = 0
     classified = 0
-    for token in text.split():
-        marks = token.translate(table)
-        if marks:
-            classified += 1
-            if 2 * marks.count("T") > len(marks):
-                target += 1
+    for marks, n in counts.items():
+        classified += n
+        if 2 * marks.count("T") > len(marks):
+            target += n
     if classified == 0:
         return 0.0
     return target / classified

@@ -17,7 +17,8 @@ in one vocabulary, and each n-gram gets an id from ``np.unique`` over its
 count is the smaller of a (sentence, n-gram) key's counts on the two
 sides. The keys are exact integers, so the results equal the textbook
 definition with a ``Counter`` of n-gram tuples per sentence, bit for bit;
-a test set too large for int64 keys raises DataError.
+a test set too large for int64 keys raises DataError. numpy is imported
+on the first call, so a command that scores nothing never loads it.
 """
 
 from __future__ import annotations
@@ -26,16 +27,17 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, DataError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _ORDERS = (1, 2, 3, 4)
 SMOOTHINGS = ("none", "epsilon")
-# Every n-gram key is below this bound (see ``corpus_bleu``).
-_KEY_LIMIT = int(np.iinfo(np.int64).max)
+# Every n-gram key is below this bound (see ``corpus_bleu``): int64's largest.
+_KEY_LIMIT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,8 @@ class _Vocabulary(dict):
 def _token_ids(lines: Sequence[str], vocab: _Vocabulary) -> tuple[np.ndarray, list[int]]:
     """The vocabulary ids of the whitespace tokens of ``lines``, in order,
     and each line's token count. ``vocab`` gains the tokens it lacks."""
+    import numpy as np
+
     lengths: list[int] = []
 
     def split(line: str) -> list[str]:
@@ -82,6 +86,8 @@ def corpus_bleu(
     hypotheses: Sequence[str], references: Sequence[str], smoothing: str = "epsilon"
 ) -> BleuResult:
     """BLEU over aligned hypothesis and single-reference lists."""
+    import numpy as np
+
     if smoothing not in SMOOTHINGS:
         raise ConfigError(f"smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
     if len(hypotheses) != len(references):

@@ -349,6 +349,22 @@ def test_fps_in_of_the_other_mode_is_data_error(tmp_path: Path, corpus_file: Pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_fps_in_seeds_without_building_fingerprints(tmp_path: Path, monkeypatch, mode):
+    docs = [Document(id=f"a{i}", source="s", text=_letters(i)) for i in range(4)]
+    first, fps, out = _write(tmp_path / "first.jsonl", docs), tmp_path / "seen.fps", tmp_path / "o.jsonl"
+    assert _forge("dedup", "--mode", mode, "--in", str(first), "--out", str(out), "--fps-out", str(fps)) == 0
+    built = []
+    post_init = Fingerprint.__post_init__
+    monkeypatch.setattr(Fingerprint, "__post_init__", lambda fp: built.append(fp) or post_init(fp))
+    again = [Document(id=f"b{i}", source="t", text=docs[i // 2].text) for i in range(4)]
+    second = _write(tmp_path / "second.jsonl", [*again, Document(id="n", source="t", text=_letters(9))])
+    assert _forge("dedup", "--mode", mode, "--in", str(second), "--out", str(out), "--fps-in", str(fps)) == 0
+    assert [d.id for d in read_jsonl(out)] == ["n"]
+    # Only near mode's SimHash of each input document builds one.
+    assert len(built) == (5 if mode == "near" else 0)
+
+
 def test_dedup_near_mode_flags(tmp_path: Path):
     rng = random.Random(2)
     alphabet = "ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے"

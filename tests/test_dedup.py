@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from corpusforge import dedup
 from corpusforge.corpus import Corpus, Document
 from corpusforge.dedup import (
+    KEY_BITS,
     REASON_DUP,
     REASON_DUP_EMPTY,
     DedupConfig,
@@ -23,6 +24,7 @@ from corpusforge.dedup import (
     dedup_lines,
     dedup_pass,
     read_fingerprints,
+    read_sidecar,
     seed_registry,
     simhash,
     write_fingerprints,
@@ -39,15 +41,16 @@ def _rand_doc(rng: random.Random, n: int = 1000) -> str:
 # ---------------------------------------------------------------- fingerprint
 
 
-def test_fingerprint_hex_roundtrip():
+def test_fingerprint_hex_roundtrip(tmp_path: Path):
     fp = Fingerprint(0x80DC12471108B3A7)
     assert fp.hex == "80dc12471108b3a7"
-    assert Fingerprint.from_hex(fp.hex) == fp
     # A content digest is 128 bits wide: 32 digits, zero-padded like 64.
-    fp = Fingerprint(0x0123456789ABCDEF0011223344556677, 128)
-    assert fp.hex == "0123456789abcdef0011223344556677"
-    assert Fingerprint.from_hex(fp.hex) == fp
+    wide = Fingerprint(0x0123456789ABCDEF0011223344556677, 128)
+    assert wide.hex == "0123456789abcdef0011223344556677"
     assert Fingerprint(5, 128).hex == "0" * 31 + "5"
+    for pairs in ([("a", fp), ("b", Fingerprint(0))], [("a", wide), ("b", Fingerprint(5, 128))]):
+        write_fingerprints(tmp_path / "x.fps", pairs)
+        assert read_fingerprints(tmp_path / "x.fps") == pairs
 
 
 def test_fingerprint_hamming():
@@ -64,11 +67,6 @@ def test_fingerprint_validation():
         Fingerprint(2**128, 128)
     with pytest.raises(DataError):
         Fingerprint(1, 96)
-    # from_hex reads exactly the 16 lower-case hex digits that .hex writes.
-    for bad in ("xyz", "0x1f", "1_f", " 1f ", "+1f", "80dc1247", "80DC12471108B3A7",
-                "80dc12471108b3a7 ", "0x80dc12471108b3a7", "80dc_12471108b3a7", "080dc12471108b3a7"):
-        with pytest.raises(DataError):
-            Fingerprint.from_hex(bad)
 
 
 def _digest(text: str) -> int:
@@ -827,8 +825,12 @@ def test_fingerprint_file_rejects_bad_ids(tmp_path: Path):
 
 def test_fingerprint_file_bad_line_names_location(tmp_path: Path):
     p = tmp_path / "bad.fps"
+    # A key is exactly the 16 or 32 lower-case hex digits that .hex writes.
     for bad in ("broken line", "a1\t0x1f", "a1\t1_f", "a1\t 1f ", "a1\t+1f", "a1\t80dc1247",
-                "a1\t80dc12471108b3a7\tx", "a1\t80dc12471108b3a7 "):
+                "a1\t80dc12471108b3a7\tx", "a1\t80dc12471108b3a7 ", "a1\txyz",
+                "a1\t80DC12471108B3A7", "a1\t0x80dc12471108b3a7", "a1\t80dc_12471108b3a7",
+                "a1\t080dc12471108b3a7", "a1\t0x80dc12471108b3a70123456789abcd",
+                "a1\t+80dc12471108b3a70123456789abc", "a1\t", "a1", "\t80dc12471108b3a7\t"):
         p.write_text(f"a0\t80dc12471108b3a7\n{bad}\n", encoding="utf-8")
         with pytest.raises(DataError, match="bad.fps:2"):
             read_fingerprints(p)
@@ -861,3 +863,56 @@ def test_seeded_registry_drops_previously_seen(tmp_path: Path, mode):
     kept, report = dedup_documents(new, cfg, registry=registry)
     assert [d.id for d in kept] == ["n1"]
     assert report.drop_details[0].kept_id == "d0"
+
+
+def _added_one_at_a_time(pairs, cfg: DedupConfig) -> DedupRegistry:
+    """The reference seeding: one ``add`` per sidecar line, in file order."""
+    reg = DedupRegistry(cfg)
+    for doc_id, fp in pairs:
+        reg.add(fp.bits, doc_id)
+    return reg
+
+
+# Near keys a few bits apart, so near probes hit; a repeated key keeps its first id.
+_NEAR_BASES = (0x80DC12471108B3A7, 0x0123456789ABCDEF, 0xFFFFFFFF00000000)
+
+
+@st.composite
+def _sidecar(draw, mode: str):
+    n = draw(st.integers(min_value=0, max_value=30))
+    if mode == "exact":
+        key = st.integers(min_value=0, max_value=5).map(lambda k: content_digest(f"متن {k}"))
+    else:
+        key = st.builds(lambda base, flips: base ^ flips, st.sampled_from(_NEAR_BASES),
+                        st.integers(min_value=0, max_value=0b111111))
+    keys = draw(st.lists(key, min_size=n, max_size=n))
+    ids = draw(st.lists(st.sampled_from(["a", "b", "", "x y", "ی"]), min_size=n, max_size=n))
+    return [(f"{doc_id}{i}", Fingerprint(k, KEY_BITS[mode])) for i, (doc_id, k) in enumerate(zip(ids, keys))]
+
+
+@pytest.mark.parametrize("mode", ["exact", "near"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bulk_seeding_matches_seed_registry(tmp_path_factory, mode, data):
+    cfg = DedupConfig(mode=mode)
+    pairs = data.draw(_sidecar(mode))
+    p = tmp_path_factory.mktemp("fps") / "seen.fps"
+    write_fingerprints(p, pairs)
+    ids, keys, width = read_sidecar(p, mode)
+    assert width == KEY_BITS[mode]
+    assert read_sidecar(p) == (ids, keys, KEY_BITS[mode] if pairs else None)
+    bulk = DedupRegistry(cfg)
+    bulk.extend(ids, keys)
+    seeded = seed_registry(pairs, cfg)
+    reference = _added_one_at_a_time(pairs, cfg)
+    assert len(bulk) == len(seeded) == len(reference)
+    assert bulk.pairs() == seeded.pairs() == reference.pairs()
+    probes = [fp.bits for _, fp in pairs] + [k ^ 1 for k in _NEAR_BASES] + [content_digest("نیا")]
+    for key in probes:
+        if mode == "near":
+            key &= 2**64 - 1
+        assert bulk.probe(key) == seeded.probe(key) == reference.probe(key)
+    # A second bulk call keeps the ids the first one holds.
+    bulk.extend(["late"] * len(keys), keys)
+    assert bulk.pairs() == reference.pairs()
+

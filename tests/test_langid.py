@@ -3,7 +3,7 @@ from __future__ import annotations
 import unicodedata
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpusforge.corpus import Corpus, Document
 from corpusforge.errors import ConfigError
@@ -176,12 +176,16 @@ def _reference_score(text: str, cfg: LangFilterConfig) -> float:
     return target / classified
 
 
+# Every codepoint that str.split splits on: \t\n\v\f\r, \x1c-\x1f, U+0085,
+# U+00A0, U+1680, U+2000-U+200A, U+2028, U+2029, U+202F, U+205F, U+3000.
+_SPLIT_CHARS = [ch for ch in map(chr, range(0x110000)) if len(f"a{ch}b".split()) == 2]
 # Urdu letters, combining marks (U+064B, U+0670), presentation forms,
 # Extended Arabic-Indic and ASCII digits, punctuation, Latin, an astral
-# letter (Gothic U+10330), a lone surrogate and whitespace.
+# letter (Gothic U+10330), a lone surrogate, ZWNJ (U+200C, a format
+# character, not whitespace) and every whitespace codepoint.
 _SCORING_CHARS = (
     list("کتابہے") + ["\u064b", "\u0670"] + list("ﭐﹰﻼ") + list("۱۲۳") + list("12")
-    + list("،۔؟!.-") + list("abZ") + ["𐌰", "\ud800"] + [" ", "\n", "\u3000"]
+    + list("،۔؟!.-") + list("abZ") + ["𐌰", "\ud800", "\u200c"] + _SPLIT_CHARS
 )
 # Two configs with different ranges, one of them astral, scored alternately
 # in one process, so a table cached under the wrong ranges shows.
@@ -191,8 +195,24 @@ _SCORING_CFGS = (
 )
 
 
+def test_split_chars_are_the_isspace_codepoints():
+    assert _SPLIT_CHARS == [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+    assert {"\t", "\v", "\f", "\r", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u2029",
+            "\u3000"} <= set(_SPLIT_CHARS)
+    assert "\u200c" not in _SPLIT_CHARS
+
+
+@pytest.mark.parametrize("ws", _SPLIT_CHARS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_every_whitespace_codepoint_separates_tokens(ws):
+    # One Urdu and one Latin token: 1/2 only if ``ws`` splits them.
+    assert score_language(f"{ws}کتاب{ws}abc{ws}") == 0.5
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.text(st.sampled_from(_SCORING_CHARS), max_size=40), min_size=1, max_size=6))
+# A non-spacing mark opening a token, and ZWNJ inside and between tokens.
+@example(["\u064bکتاب ab \u0670c"])
+@example(["کتاب\u200cگھر\u00a0a\u200cb \u200c"])
 def test_score_matches_per_codepoint_reference(texts):
     for text in texts:
         for cfg in _SCORING_CFGS:
