@@ -33,7 +33,8 @@ def _python(code: str, *args: str, cwd: Path) -> dict:
 
 
 def _corpus(tmp_path: Path, n: int) -> None:
-    # More documents than _parallel's pool threshold, so workers 2 forks a pool.
+    """``n`` documents, each text twice; above _parallel's pool threshold
+    (256 items), workers 2 forks a pool."""
     docs = [Document(id=f"d{i}", source=f"s{i % 2}", text=f"{TEXT} {i // 2}") for i in range(n)]
     write_jsonl(Corpus(docs), tmp_path / "in.jsonl")
 
