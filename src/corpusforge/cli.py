@@ -314,8 +314,9 @@ def _add_io(sp, workers: bool = True, config: bool = True) -> None:
             type=int,
             default=None,
             metavar="N",
-            help="process count, at most the core count (default: all cores; "
-            "output is identical for any N)",
+            help="processes for near-mode SimHash, at most the core count (default: "
+            "all cores); every other stage runs in this process, and output is "
+            "identical for any N",
         )
     if config:
         sp.add_argument("--config", metavar="PATH", help="pipeline config JSON")

@@ -20,9 +20,10 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
-from ._parallel import pmap
+# Not called here: perfbench/tracing.py wraps pmap under this name.
+from ._parallel import pmap  # noqa: F401
 from .corpus import Corpus
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, run_stage
@@ -101,15 +102,15 @@ def score_language(text: str, cfg: LangFilterConfig = LangFilterConfig()) -> flo
 
 
 def filter_language(
-    corpus: Corpus,
-    cfg: LangFilterConfig = LangFilterConfig(),
-    workers: int | None = 1,
+    corpus: Corpus, cfg: LangFilterConfig = LangFilterConfig()
 ) -> tuple[Corpus, StageReport]:
     """Keep documents scoring at or above the threshold, in input order."""
 
     def step(report: StageReport) -> Corpus:
-        scores = pmap(partial(score_language, cfg=cfg), [d.text for d in corpus], workers)
-        reasons = (None if s >= cfg.threshold else DROP_BELOW_THRESHOLD for s in scores)
+        reasons = (
+            None if score_language(d.text, cfg) >= cfg.threshold else DROP_BELOW_THRESHOLD
+            for d in corpus
+        )
         return keep_or_drop(report, corpus, reasons)
 
     return run_stage("lang_filter", corpus, step)

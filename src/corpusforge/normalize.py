@@ -19,11 +19,12 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from ._parallel import pmap
+# Not called here: perfbench/tracing.py wraps pmap under this name.
+from ._parallel import pmap  # noqa: F401
 from .corpus import Corpus, Document, check_object, read_json_input
 from .errors import ConfigError
 from .report import StageReport, rewrite_texts, run_stage
@@ -209,30 +210,25 @@ def split_document(doc: Document, cfg: SplitConfig = SplitConfig()) -> list[Docu
 
 
 def standardize_corpus(
-    corpus: Corpus,
-    table: CharMapTable | None = None,
-    workers: int | None = 1,
+    corpus: Corpus, table: CharMapTable | None = None
 ) -> tuple[Corpus, StageReport]:
     """Standardize every document; document count is unchanged."""
     if table is None:
         table = default_table()
 
     def step(report: StageReport) -> Corpus:
-        texts = pmap(partial(standardize, table=table), [d.text for d in corpus], workers)
-        return rewrite_texts(report, corpus, texts)
+        return rewrite_texts(report, corpus, (standardize(d.text, table) for d in corpus))
 
     return run_stage("standardize", corpus, step)
 
 
 def split_corpus(
-    corpus: Corpus,
-    cfg: SplitConfig = SplitConfig(),
-    workers: int | None = 1,
+    corpus: Corpus, cfg: SplitConfig = SplitConfig()
 ) -> tuple[Corpus, StageReport]:
     """Split every over-length document; short documents pass through."""
 
     def step(report: StageReport) -> Corpus:
-        piece_lists = pmap(partial(split_document, cfg=cfg), list(corpus), workers)
+        piece_lists = [split_document(doc, cfg) for doc in corpus]
         report.counters["docs_split"] = sum(1 for pieces in piece_lists if len(pieces) > 1)
         return Corpus([doc for pieces in piece_lists for doc in pieces])
 

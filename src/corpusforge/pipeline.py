@@ -9,8 +9,10 @@ Configuration comes from a JSON file with one section per stage. Unknown
 keys are rejected so typos fail loudly instead of silently using a
 default. Paths inside the file resolve relative to the file itself.
 
-The pipeline is deterministic: no randomness, worker count does not
-affect output, and input files are processed in the order given.
+The pipeline is deterministic: no randomness, and input files are
+processed in the order given. Every stage runs in the calling process,
+except near-mode dedup's SimHash, which ``workers`` processes share; the
+output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -101,7 +103,12 @@ class PipelineConfig:
     dedup: DedupConfig = DedupConfig()
     split_enabled: bool = True
     split: SplitConfig = SplitConfig()
-    workers: int | None = None  # None = all available cores
+    workers: int | None = None  # near-mode SimHash processes; None = all cores
+
+    def __post_init__(self):
+        w = self.workers
+        if w is not None and (type(w) is not int or w < 1):
+            raise ConfigError(f"workers must be a positive integer, got {w!r}")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "PipelineConfig":
@@ -110,9 +117,6 @@ class PipelineConfig:
             for name in ("normalize", "lang", "quality", "pii", "dedup", "split")
         )
         check_object(data, "config", _TOP_LEVEL)
-        workers = data.get("workers")
-        if workers is not None and workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {workers!r}")
 
         charmap = None
         if "charmap" in norm:
@@ -152,7 +156,7 @@ class PipelineConfig:
             dedup=DedupConfig(**{k: v for k, v in d_sec.items() if k != "enabled"}),
             split_enabled=s_sec.get("enabled", True),
             split=SplitConfig(**_pick(s_sec, "target_tokens", "sentence_end_chars")),
-            workers=workers,
+            workers=data.get("workers"),
         )
 
     @classmethod
@@ -184,7 +188,6 @@ def run_pipeline(
     ``registry`` seeds dedup's corpus-wide pass and collects what it keeps."""
     if cfg is None:
         cfg = PipelineConfig()
-    w = cfg.workers
 
     if isinstance(inputs, Corpus):
         corpus, rep = run_stage("ingest", None, lambda report: _unique_ids(inputs))
@@ -195,15 +198,13 @@ def run_pipeline(
 
     # Built per call, so each stage function is looked up when the run starts.
     chain = (
-        ("lang_filter", cfg.lang_enabled, partial(filter_language, cfg=cfg.lang, workers=w)),
-        ("standardize", cfg.normalize_enabled,
-         partial(standardize_corpus, table=cfg.charmap, workers=w)),
-        ("quality_filter", cfg.quality_enabled,
-         partial(filter_quality, cfg=cfg.quality, workers=w)),
-        ("pii_scrub", cfg.pii_enabled, partial(scrub_corpus_pii, rules=cfg.pii_rules, workers=w)),
+        ("lang_filter", cfg.lang_enabled, partial(filter_language, cfg=cfg.lang)),
+        ("standardize", cfg.normalize_enabled, partial(standardize_corpus, table=cfg.charmap)),
+        ("quality_filter", cfg.quality_enabled, partial(filter_quality, cfg=cfg.quality)),
+        ("pii_scrub", cfg.pii_enabled, partial(scrub_corpus_pii, rules=cfg.pii_rules)),
         ("dedup", cfg.dedup_enabled,
-         partial(dedup_pass, cfg=cfg.dedup, registry=registry, workers=w)),
-        ("split", cfg.split_enabled, partial(split_corpus, cfg=cfg.split, workers=w)),
+         partial(dedup_pass, cfg=cfg.dedup, registry=registry, workers=cfg.workers)),
+        ("split", cfg.split_enabled, partial(split_corpus, cfg=cfg.split)),
     )
     for name, enabled, call in chain:
         if enabled:

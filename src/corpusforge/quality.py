@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from ._parallel import pmap
+# Not called here: perfbench/tracing.py wraps pmap under this name.
+from ._parallel import pmap  # noqa: F401
 from .corpus import Corpus, check_object, read_input, read_json_input
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, rewrite_texts, run_stage
@@ -108,9 +109,7 @@ def _check_quality(text: str, cfg: QualityConfig) -> str | None:
 
 
 def filter_quality(
-    corpus: Corpus,
-    cfg: QualityConfig | None = None,
-    workers: int | None = 1,
+    corpus: Corpus, cfg: QualityConfig | None = None
 ) -> tuple[Corpus, StageReport]:
     """Keep documents that pass the stopword and flagged-word ratio tests.
 
@@ -121,8 +120,7 @@ def filter_quality(
         cfg = QualityConfig()
 
     def step(report: StageReport) -> Corpus:
-        reasons = pmap(partial(_check_quality, cfg=cfg), [d.text for d in corpus], workers)
-        return keep_or_drop(report, corpus, reasons)
+        return keep_or_drop(report, corpus, (_check_quality(d.text, cfg) for d in corpus))
 
     return run_stage("quality_filter", corpus, step)
 
@@ -207,16 +205,14 @@ def scrub_pii(text: str, rules: PiiRuleSet | None = None) -> tuple[str, dict[str
 
 
 def scrub_corpus_pii(
-    corpus: Corpus,
-    rules: PiiRuleSet | None = None,
-    workers: int | None = 1,
+    corpus: Corpus, rules: PiiRuleSet | None = None
 ) -> tuple[Corpus, StageReport]:
     """Scrub every document; nothing is dropped, only rewritten."""
     if rules is None:
         rules = default_pii_rules()
 
     def step(report: StageReport) -> Corpus:
-        results = pmap(partial(scrub_pii, rules=rules), [d.text for d in corpus], workers)
+        results = [scrub_pii(d.text, rules) for d in corpus]
         for _, counts in results:
             for name, n in counts.items():
                 report.counters[name] = report.counters.get(name, 0) + n

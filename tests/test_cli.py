@@ -555,15 +555,27 @@ def test_report_missing_file(tmp_path: Path):
     assert _forge("report", str(tmp_path / "no.json")) == 3
 
 
-def test_workers_flag_does_not_change_output(tmp_path: Path):
+@pytest.mark.parametrize("config", [{}, {"dedup": {"mode": "near"}}], ids=["exact", "near"])
+def test_workers_flag_does_not_change_output(tmp_path: Path, config: dict):
+    # 300 documents: at least _parallel's pool threshold, so near mode's
+    # SimHash runs in a pool at more than one worker.
     docs = [Document(id=f"d{i}", source="s", text=_urdu(20 + i % 7)) for i in range(300)]
     src = _write(tmp_path / "big.jsonl", docs)
-    outs = []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    outs, reports = [], []
     for n in ("1", "4"):
-        out = tmp_path / f"w{n}.jsonl"
-        assert _forge("run", "--workers", n, "--in", str(src), "--out", str(out)) == 0
+        out, report = tmp_path / f"w{n}.jsonl", tmp_path / f"w{n}.json"
+        assert _forge(
+            "run", "--config", str(cfg), "--workers", n, "--in", str(src),
+            "--out", str(out), "--report", str(report),
+        ) == 0
         outs.append(out.read_bytes())
+        data = json.loads(report.read_text(encoding="utf-8"))
+        data["stages"] = [_without_durations(s) for s in data["stages"]]
+        reports.append(data)
     assert outs[0] == outs[1]
+    assert reports[0] == reports[1]
 
 
 WRONG_TYPED_CONFIGS = [

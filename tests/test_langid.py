@@ -121,15 +121,6 @@ def test_filter_preserves_order():
     assert [d.id for d in kept] == ["d0", "d2", "d3"]
 
 
-def test_workers_do_not_change_result():
-    corpus = _corpus([_mixed(f) for f in (0.0, 0.3, 0.6, 0.9)] * 70)
-    cfg = LangFilterConfig(threshold=0.5)
-    k1, r1 = filter_language(corpus, cfg, workers=1)
-    k4, r4 = filter_language(corpus, cfg, workers=4)
-    assert list(k1) == list(k4)
-    assert r1.drop_reasons == r4.drop_reasons
-
-
 @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
 def test_score_monotone_in_target_tokens(n_ur, n_lat):
     # swapping any non-target token for a target one never lowers the score

@@ -230,9 +230,3 @@ def test_split_corpus_accounting():
     assert report.tokens_in == report.tokens_out == 2050
     assert [d.id for d in out] == ["long#0", "long#1", "long#2", "long#3", "short"]
 
-
-def test_workers_do_not_change_split():
-    docs = [Document(id=f"d{i}", source="s", text=" ".join(["ل"] * (700 + i))) for i in range(300)]
-    out1, _ = split_corpus(Corpus(docs), SplitConfig(target_tokens=256), workers=1)
-    out4, _ = split_corpus(Corpus(docs), SplitConfig(target_tokens=256), workers=4)
-    assert list(out1) == list(out4)
