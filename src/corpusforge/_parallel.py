@@ -1,7 +1,8 @@
 """Order-preserving parallel map for pure per-document functions.
 
 Results are collected in input order, so output is identical for any
-worker count; stages built on this stay deterministic.
+worker count. Its one caller is near-mode SimHash (``dedup.document_keys``);
+every other stage is cheaper in the calling process than through a pool.
 """
 
 from __future__ import annotations

@@ -222,8 +222,8 @@ def test_config_workers_validation():
 
 @pytest.mark.parametrize("workers", [0, -1, "2", True, 1.5])
 def test_bad_workers_is_config_error_without_a_pool(workers):
-    # Exact mode starts no pool, so only the config's own check can
-    # refuse these values.
+    # An exact-mode run starts no pool, so the config is the one place
+    # that refuses these values.
     with pytest.raises(ConfigError, match="workers"):
         PipelineConfig(workers=workers)
     corpus = Corpus([Document(id="a", source="s", text=_urdu(40))])
@@ -231,41 +231,13 @@ def test_bad_workers_is_config_error_without_a_pool(workers):
         run_pipeline(corpus, PipelineConfig(dedup=DedupConfig(mode="exact"), workers=workers))
 
 
-class _CountingPool:
-    """Stands in for ProcessPoolExecutor: counts the pools and maps in-process."""
-
-    started = 0
-
-    def __init__(self, max_workers):
-        type(self).started += 1
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("mode,pools", [("near", 1), ("exact", 0)])
-def test_a_run_starts_one_pool_in_near_mode_and_none_in_exact(monkeypatch, mode, pools):
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(_CountingPool, "started", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # Above _parallel's pool threshold, and every document reaches dedup.
-    docs = [Document(id=f"d{i}", source="s", text=f"{_urdu(30)} {i}") for i in range(300)]
-    cfg = PipelineConfig(dedup=DedupConfig(mode=mode), workers=2)
-    _, report = run_pipeline(Corpus(docs), cfg)
-    assert report.stages[STAGES.index("dedup")].docs_in == 300
-    assert _CountingPool.started == pools
-
-
-def test_pmap_pool_is_capped_at_the_core_count(monkeypatch):
+@pytest.fixture()
+def pool_sizes(monkeypatch) -> list[int]:
+    """The size of each pool ``pmap`` starts, through a stand-in for
+    ProcessPoolExecutor that maps in-process and so starts no process."""
     sizes = []
 
-    class FakePool:  # records its size and starts no process
+    class FakePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -279,9 +251,24 @@ def test_pmap_pool_is_capped_at_the_core_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_pmap_pool_is_capped_at_the_core_count(pool_sizes):
     items = list(range(300))
     assert _parallel.pmap(abs, items, workers=10**6) == items
-    assert all(n <= (os.cpu_count() or 1) for n in sizes)
+    assert all(n <= (os.cpu_count() or 1) for n in pool_sizes)
+
+
+@pytest.mark.parametrize("mode,pools", [("near", 1), ("exact", 0)])
+def test_a_run_starts_one_pool_in_near_mode_and_none_in_exact(pool_sizes, monkeypatch, mode, pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # Above _parallel's pool threshold, and every document reaches dedup.
+    docs = [Document(id=f"d{i}", source="s", text=f"{_urdu(30)} {i}") for i in range(300)]
+    cfg = PipelineConfig(dedup=DedupConfig(mode=mode), workers=2)
+    _, report = run_pipeline(Corpus(docs), cfg)
+    assert report.stages[STAGES.index("dedup")].docs_in == 300
+    assert len(pool_sizes) == pools
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path: Path):
