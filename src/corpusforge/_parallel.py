@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .errors import ConfigError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -18,12 +20,15 @@ R = TypeVar("R")
 _MIN_PARALLEL_ITEMS = 256
 
 
+def check_workers(workers: int | None) -> None:
+    """Refuse a worker count other than None (all cores) or an int >= 1."""
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+
+
 def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
+    check_workers(workers)
+    return os.cpu_count() or 1 if workers is None else workers
 
 
 def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int | None = None) -> list[R]:

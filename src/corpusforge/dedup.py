@@ -41,7 +41,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable
 
-from ._parallel import pmap
+from ._parallel import check_workers, pmap
 from .corpus import Corpus, Document, atomic_write, read_input
 from .errors import ConfigError, DataError
 from .report import StageReport, rewrite_texts, run_stage
@@ -207,6 +207,7 @@ class DedupRegistry:
 def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -> list[int]:
     """The registry key of each text: its content digest in exact mode,
     which needs no pool, or its SimHash bits in near mode."""
+    check_workers(workers)
     if cfg.mode == "exact":
         return [content_digest(t) for t in texts]
     # Imported before pmap's pool forks, so no pool worker imports it again.
@@ -234,6 +235,7 @@ def dedup_documents(
     """
     if group_by_source and registry is not None:
         raise ConfigError("group_by_source cannot use a shared registry")
+    check_workers(workers)
 
     def step(report: StageReport) -> Corpus:
         doc_keys = keys
@@ -314,6 +316,7 @@ def dedup_pass(
     report carries one sub-report per enabled pass; drops appear under
     the pass that made them.
     """
+    check_workers(workers)
 
     def step(report: StageReport) -> Corpus:
         out = corpus

@@ -11,14 +11,21 @@ of that order); with no n-grams at all (every hypothesis shorter than the
 order) the precision stays 0 and the score is 0. Smoothing "none" leaves
 zeros alone, so any zero precision also zeroes the score.
 
-Matches are counted on integer keys. The tokens of both sides map to ids
-in one vocabulary, and each n-gram gets an id from ``np.unique`` over its
-(n-1)-gram id times the vocabulary size plus its last token. A clipped
-count is the smaller of a (sentence, n-gram) key's counts on the two
-sides. The keys are exact integers, so the results equal the textbook
-definition with a ``Counter`` of n-gram tuples per sentence, bit for bit;
-a test set too large for int64 keys raises DataError. numpy is imported
-on the first call, so a command that scores nothing never loads it.
+Matches are counted on integer keys. A test set's references are
+prepared once into a ``ReferenceTables``: their vocabulary, length and
+sentence count, and for each order a sorted table of sentence-scoped
+n-gram keys with their counts inside the sentence. With V reference
+types, an order-1 key is ``sentence * (V + 1) + token id`` and an order-n
+key is the n-gram's first n-1 tokens' index in the order n-1 table times
+``V + 1`` plus its last token. Each system's n-grams are looked up in
+those tables with ``np.searchsorted``: a token no reference holds gets id
+V and an n-gram the table lacks gets the index ``len(table)``, so neither
+ever matches. An order's clipped count sums, over the table, the smaller
+of the system's hits and the reference count. The keys are exact
+integers, so the results equal the textbook definition with a ``Counter``
+of n-gram tuples per sentence, bit for bit; references too large for
+int64 keys raise DataError. numpy is imported on first use, so a command
+that scores nothing never loads it.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ if TYPE_CHECKING:
 
 _ORDERS = (1, 2, 3, 4)
 SMOOTHINGS = ("none", "epsilon")
-# Every n-gram key is below this bound (see ``corpus_bleu``): int64's largest.
+# No key may exceed this (see ``prepare_references``): int64's largest.
 _KEY_LIMIT = 2**63 - 1
 
 
@@ -66,9 +73,16 @@ class _Vocabulary(dict):
         return self[token]
 
 
-def _token_ids(lines: Sequence[str], vocab: _Vocabulary) -> tuple[np.ndarray, list[int]]:
+class _Known(dict):
+    """Token to id; a token it lacks gets ``len(self)``, which no token has."""
+
+    def __missing__(self, token: str) -> int:
+        return len(self)
+
+
+def _token_ids(lines: Sequence[str], vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """The vocabulary ids of the whitespace tokens of ``lines``, in order,
-    and each line's token count. ``vocab`` gains the tokens it lacks."""
+    and each token's line number."""
     import numpy as np
 
     lengths: list[int] = []
@@ -78,14 +92,71 @@ def _token_ids(lines: Sequence[str], vocab: _Vocabulary) -> tuple[np.ndarray, li
         lengths.append(len(tokens))
         return tokens
 
-    tokens = chain.from_iterable(map(split, lines))
-    return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64), lengths
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(map(split, lines))), dtype=np.int64)
+    return ids, np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+
+
+def _within(sent: np.ndarray, n: int) -> np.ndarray:
+    """Which n-grams of the stream lie inside one sentence."""
+    return sent[: max(len(sent) - n + 1, 0)] == sent[n - 1 :]
+
+
+@dataclass(frozen=True)
+class ReferenceTables:
+    """A test set's references, prepared once by ``prepare_references``.
+
+    ``tables[n - 1]`` holds the sorted order-n keys and their counts, and
+    one entry more: a key above every n-gram's, counted 0. Its index is
+    the one an n-gram the references lack gets.
+    """
+
+    vocab: _Known
+    length: int
+    sentences: int
+    tables: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return self.sentences
+
+
+def prepare_references(references: Sequence[str]) -> ReferenceTables:
+    """The n-gram tables of single-reference lines."""
+    import numpy as np
+
+    vocab = _Vocabulary()
+    ids, sent = _token_ids(references, vocab)
+    width = len(vocab) + 1
+    # An order-1 key is below len(references) * width. A prefix index is at
+    # most len(ids), a system's unmatched one included, so a longer key is
+    # below (len(ids) + 1) * width. Each table ends in the bound itself.
+    bound = max(len(references), len(ids) + 1) * width
+    if bound > _KEY_LIMIT:
+        raise DataError(
+            f"test set too large for BLEU: {len(ids)} reference tokens, "
+            f"{len(vocab)} types, {len(references)} sentences"
+        )
+    tables = []
+    prefix = sent
+    for n in _ORDERS:
+        within = _within(sent, n)
+        keys, index, counts = np.unique(
+            (prefix[: len(within)] * width + ids[n - 1 :])[within],
+            return_inverse=True,
+            return_counts=True,
+        )
+        prefix = np.full(len(within), len(keys), dtype=np.int64)
+        prefix[within] = index
+        tables.append((np.append(keys, bound), np.append(counts, 0)))
+    return ReferenceTables(_Known(vocab), len(ids), len(references), tuple(tables))
 
 
 def corpus_bleu(
-    hypotheses: Sequence[str], references: Sequence[str], smoothing: str = "epsilon"
+    hypotheses: Sequence[str],
+    references: Sequence[str] | ReferenceTables,
+    smoothing: str = "epsilon",
 ) -> BleuResult:
-    """BLEU over aligned hypothesis and single-reference lists."""
+    """BLEU over aligned hypotheses and single references: the lines, or
+    the tables ``prepare_references`` built from them."""
     import numpy as np
 
     if smoothing not in SMOOTHINGS:
@@ -96,46 +167,22 @@ def corpus_bleu(
         )
     if not hypotheses:
         raise DataError("empty test set")
+    if not isinstance(references, ReferenceTables):
+        references = prepare_references(references)
 
-    # One token stream: hypothesis i is sentence i, reference i is sentence
-    # n_sent + i, so no n-gram within a sentence spans two lines or sides.
-    vocab = _Vocabulary()
-    hyp_ids, hyp_lengths = _token_ids(hypotheses, vocab)
-    ref_ids, ref_lengths = _token_ids(references, vocab)
-    hyp_length, ref_length = len(hyp_ids), len(ref_ids)
-    ids = np.concatenate([hyp_ids, ref_ids])
-    del hyp_ids, ref_ids
-    n_sent, n_vocab = len(hypotheses), len(vocab)
-    sent = np.repeat(np.arange(2 * n_sent, dtype=np.int32), hyp_lengths + ref_lengths)
-    # An n-gram id is below len(ids), so a gram key stays below
-    # len(ids) * n_vocab and a sentence key below 2 * n_sent * len(ids).
-    if len(ids) * max(n_vocab, 2 * n_sent) > _KEY_LIMIT:
-        raise DataError(
-            f"test set too large for BLEU: {len(ids)} tokens, {n_vocab} types, "
-            f"{n_sent} sentences"
-        )
-
+    width = len(references.vocab) + 1
+    ids, sent = _token_ids(hypotheses, references.vocab)
     precisions = []
-    gram, n_grams = ids, n_vocab
-    for n in _ORDERS:
-        m = max(len(ids) - n + 1, 0)  # n-grams starting at 0..m-1
-        if n > 1:
-            # The n-gram at i is the (n-1)-gram at i and the token at i+n-1.
-            uniq, gram = np.unique(gram[:m] * n_vocab + ids[n - 1 :], return_inverse=True)
-            n_grams = len(uniq)
-        within = sent[:m] == sent[n - 1 :]
-        keys = sent[:m].astype(np.int64) * n_grams + gram[:m]
-        hyp_keys = keys[:hyp_length][within[:hyp_length]]
-        ref_keys = keys[hyp_length:][within[hyp_length:]] - n_sent * n_grams
-        del keys, within
-        hyp_uniq, hyp_counts = np.unique(hyp_keys, return_counts=True)
-        ref_uniq, ref_counts = np.unique(ref_keys, return_counts=True)
-        _, hyp_at, ref_at = np.intersect1d(
-            hyp_uniq, ref_uniq, assume_unique=True, return_indices=True
-        )
-        clipped = int(np.minimum(hyp_counts[hyp_at], ref_counts[ref_at]).sum())
-        total = len(hyp_keys)
-        del hyp_keys, ref_keys
+    prefix = sent
+    for n, (table, ref_counts) in zip(_ORDERS, references.tables):
+        within = _within(sent, n)
+        keys = prefix[: len(within)] * width + ids[n - 1 :]
+        # The last key is above every n-gram's, so each index is in range.
+        prefix = np.searchsorted(table, keys)
+        prefix[table[prefix] != keys] = len(table) - 1
+        hits = np.bincount(prefix[within], minlength=len(table))
+        clipped = int(np.minimum(hits, ref_counts).sum())
+        total = int(np.count_nonzero(within))
         if total == 0:
             p = 0.0
         elif clipped == 0 and smoothing == "epsilon":
@@ -144,6 +191,7 @@ def corpus_bleu(
             p = clipped / total
         precisions.append(p)
 
+    hyp_length, ref_length = len(ids), references.length
     if hyp_length == 0:
         bp = 0.0
     elif hyp_length >= ref_length:
@@ -193,8 +241,9 @@ def evaluate_sets(
     for s in sets:
         if s.name in scores:
             raise ConfigError(f"duplicate test set name {s.name!r}")
+        references = prepare_references(s.references)
         scores[s.name] = {
-            system: corpus_bleu(hyps, s.references, smoothing)
+            system: corpus_bleu(hyps, references, smoothing)
             for system, hyps in s.hypotheses.items()
         }
     return scores

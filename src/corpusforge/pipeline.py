@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
+from ._parallel import check_workers
 from .corpus import Corpus, check_object, read_json_input, read_jsonl
 from .dedup import DedupConfig, DedupRegistry, dedup_pass
 from .errors import ConfigError
@@ -106,9 +107,7 @@ class PipelineConfig:
     workers: int | None = None  # near-mode SimHash processes; None = all cores
 
     def __post_init__(self):
-        w = self.workers
-        if w is not None and (type(w) is not int or w < 1):
-            raise ConfigError(f"workers must be a positive integer, got {w!r}")
+        check_workers(self.workers)
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "PipelineConfig":

@@ -331,6 +331,19 @@ def test_workers_do_not_change_fingerprints():
     assert [doc_id for doc_id, _ in pairs[0]] == [d.id for d in kept]
 
 
+@pytest.mark.parametrize("mode", ["exact", "near"])
+@pytest.mark.parametrize("workers", [0, -1, "2", 1.5, True])
+def test_bad_workers_is_config_error_in_either_mode(mode, workers):
+    cfg = DedupConfig(mode=mode)
+    corpus = _corpus(["ا ب ج", "ا ب ج"])
+    with pytest.raises(ConfigError, match="workers"):
+        dedup_pass(corpus, cfg, workers=workers)
+    with pytest.raises(ConfigError, match="workers"):
+        dedup_documents(corpus, cfg, workers=workers, keys=[1, 2])
+    with pytest.raises(ConfigError, match="workers"):
+        dedup.document_keys(["ا ب ج"], cfg, workers)
+
+
 # ----------------------------------------------------------------- line dedup
 
 

@@ -241,12 +241,66 @@ def test_corpus_bleu_edge_cases_equal_counter_reference(hyps, refs, smoothing):
     assert corpus_bleu(hyps, refs, smoothing=smoothing) == _reference_bleu(hyps, refs, smoothing)
 
 
-def test_keys_past_int64_are_refused(monkeypatch):
-    # 8 tokens, 4 types and 2 sentence slots: keys stay below 8 * 4.
-    hyps, refs = ["a b c d"], ["a b c d"]
-    monkeypatch.setattr(mteval, "_KEY_LIMIT", 32)
-    assert corpus_bleu(hyps, refs).score == 100.0
-    monkeypatch.setattr(mteval, "_KEY_LIMIT", 31)
+@pytest.mark.parametrize(
+    "hyps,refs",
+    [
+        # refs hold "b c" only across their sentence boundary
+        (["a b c d", "c d"], ["a b", "c d"]),
+        # each hypothesis bigram is in the other sentence's reference only
+        (["c d", "a b"], ["a b", "c d"]),
+        # tokens absent from every reference, alone and between known ones
+        (["x y z w", "a x b", "x"], ["a b c d", "a b", "a"]),
+        # empty lines on either side, and on both at once
+        (["", "a b", "", "a b c d e"], ["", "", "a b", "a b c d e"]),
+        # one-token sentences
+        (["a", "b", "a", "c"], ["a", "a", "b", "c"]),
+    ],
+)
+@pytest.mark.parametrize("smoothing", mteval.SMOOTHINGS)
+def test_reference_table_edges_equal_counter_reference(hyps, refs, smoothing):
+    tables = mteval.prepare_references(refs)
+    want = _reference_bleu(hyps, refs, smoothing)
+    assert corpus_bleu(hyps, refs, smoothing=smoothing) == want
+    assert corpus_bleu(hyps, tables, smoothing=smoothing) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.lists(_line(), min_size=n, max_size=n),
+            st.lists(st.lists(_line(), min_size=n, max_size=n), min_size=1, max_size=4),
+        )
+    ),
+    st.sampled_from(mteval.SMOOTHINGS),
+)
+def test_prepared_references_score_every_system_like_the_counter_reference(case, smoothing):
+    refs, systems = case
+    tables = mteval.prepare_references(refs)
+    for hyps in systems + systems[:1]:  # the first again: scoring leaves the tables as they were
+        assert corpus_bleu(hyps, tables, smoothing=smoothing) == _reference_bleu(hyps, refs, smoothing)
+
+
+@pytest.mark.parametrize(
+    "refs,bound",
+    [
+        # The bound is max(sentences, reference tokens + 1) * (types + 1),
+        # and each table ends in a key equal to it. Every other key is
+        # below it: here a bigram of two unknown tokens reaches 24, the
+        # unmatched index 4 times 5 plus the unknown id 4.
+        (["a b c d"], 25),
+        # An unknown token in the last of 7 sentences reaches 6 * 2 + 1.
+        (["", "", "", "", "", "", "a"], 14),
+    ],
+)
+def test_keys_past_int64_are_refused(monkeypatch, refs, bound):
+    hyps = ["x y"] * len(refs)
+    monkeypatch.setattr(mteval, "_KEY_LIMIT", bound)
+    assert corpus_bleu(hyps, refs) == _reference_bleu(hyps, refs, "epsilon")
+    assert corpus_bleu(refs, refs).precisions[0] == 1.0
+    monkeypatch.setattr(mteval, "_KEY_LIMIT", bound - 1)
+    with pytest.raises(DataError, match="too large"):
+        mteval.prepare_references(refs)
     with pytest.raises(DataError, match="too large"):
         corpus_bleu(hyps, refs)
 
@@ -343,3 +397,31 @@ def test_sets_may_come_from_a_generator():
     assert evaluate_sets(s for s in sets) == evaluate_sets(sets)
     for fmt in ("table", "json"):
         assert compare_systems((s for s in sets), fmt=fmt) == compare_systems(sets, fmt=fmt)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_compare_prepares_each_set_once_and_scores_each_system(monkeypatch, k):
+    prepared, scored = [], []
+    prepare, bleu = mteval.prepare_references, mteval.corpus_bleu
+
+    def spy_prepare(refs):
+        prepared.append(refs)
+        return prepare(refs)
+
+    def spy_bleu(hyps, refs, smoothing):
+        scored.append(refs)
+        return bleu(hyps, refs, smoothing)
+
+    monkeypatch.setattr(mteval, "prepare_references", spy_prepare)
+    monkeypatch.setattr(mteval, "corpus_bleu", spy_bleu)
+    refs = ("ایک دو تین چار", "a b c")
+    sets = [
+        EvalSet(name=f"s{i}", references=refs, hypotheses={f"sys{j}": refs for j in range(k)})
+        for i in range(3)
+    ]
+    compare_systems(sets, fmt="json")
+    assert prepared == [refs] * 3
+    # Each system gets its set's tables, so no call prepares them again.
+    assert len(scored) == 3 * k
+    assert all(isinstance(r, mteval.ReferenceTables) for r in scored)
+    assert len({id(r) for r in scored}) == 3
