@@ -28,7 +28,9 @@ def check_workers(workers: int | None) -> None:
 
 def resolve_workers(workers: int | None) -> int:
     check_workers(workers)
-    return os.cpu_count() or 1 if workers is None else workers
+    if workers is None:
+        return os.cpu_count() or 1
+    return workers
 
 
 def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int | None = None) -> list[R]:
