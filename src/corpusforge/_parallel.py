@@ -3,12 +3,18 @@
 Results are collected in input order, so output is identical for any
 worker count. Its one caller is near-mode SimHash (``dedup.document_keys``);
 every other stage is cheaper in the calling process than through a pool.
+
+``concurrent.futures`` and ``multiprocessing`` load only when a pool is
+first needed: ``ProcessPoolExecutor`` is a module attribute resolved on
+first access (PEP 562), and ``pmap`` reads it from the module, so a
+class set on this module in its place (a fake in tests, a counting
+subclass in a tracer) is the one a pool is started from.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConfigError
@@ -18,6 +24,16 @@ R = TypeVar("R")
 
 # Below this many items a process pool costs more than it saves.
 _MIN_PARALLEL_ITEMS = 256
+
+
+def __getattr__(name: str):
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Cached as a plain global, so later reads skip this hook.
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def check_workers(workers: int | None) -> None:
@@ -45,5 +61,6 @@ def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int | None = None) -
     if n <= 1 or len(seq) < _MIN_PARALLEL_ITEMS:
         return [fn(x) for x in seq]
     chunk = max(1, len(seq) // (n * 4))
-    with ProcessPoolExecutor(max_workers=n) as ex:
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    with pool_class(max_workers=n) as ex:
         return list(ex.map(fn, seq, chunksize=chunk))

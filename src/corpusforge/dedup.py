@@ -26,12 +26,14 @@ must never change, since near-mode sidecars carry no hash version.
 
 Only near mode needs numpy (``simhash`` and the near probe), and imports
 it on first use, so an exact-mode run never loads it. ``document_keys``
-imports it before its pool forks, so pool workers inherit it.
+imports it before its pool forks, so pool workers inherit it. blake2b
+comes from CPython's built-in ``_blake2`` module, the same function that
+``hashlib`` re-exports, so no command loads OpenSSL through ``hashlib``
+unless the built-in module is missing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from array import array
 from collections import defaultdict
@@ -40,6 +42,12 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable
+
+try:
+    # hashlib is heavy to load (it loads OpenSSL); its blake2b is this one.
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from ._parallel import check_workers, pmap
 from .corpus import Corpus, Document, atomic_write, read_input
@@ -52,7 +60,7 @@ REASON_DUP_EMPTY = "dup_doc_empty"
 # Part of the fingerprint function, so sidecars depend on it.
 _HASH_KEY = b"simhash-v1"
 # Keyed once; each shingle hashes a copy, which skips re-keying.
-_HASHER = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+_HASHER = blake2b(digest_size=8, key=_HASH_KEY)
 # The key width of each mode: a content digest, or a SimHash.
 KEY_BITS = {"exact": 128, "near": 64}
 _MODE_OF_BITS = {bits: mode for mode, bits in KEY_BITS.items()}
@@ -109,7 +117,7 @@ def content_digest(text: str) -> int:
     """Exact mode's key: a 128-bit blake2b of the text's UTF-8 content
     with every whitespace character removed."""
     content = "".join(text.split()).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(content, digest_size=16).digest(), "big")
+    return int.from_bytes(blake2b(content, digest_size=16).digest(), "big")
 
 
 def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:

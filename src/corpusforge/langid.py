@@ -7,10 +7,12 @@ configured script ranges; tokens with no letters or digits (bare
 punctuation or symbols) are ignored. Latin text and ASCII numerals score
 toward 0, Urdu text and Extended Arabic-Indic numerals toward 1.
 A document is scored with one ``str.translate`` over its whole text: a
-map, filled one codepoint at a time on first sight and cached per set of
-script ranges, turns each target letter or digit into "T", each other
-letter or digit into "O", each whitespace character (``str.isspace``,
-what ``str.split`` splits on) into a space, and drops everything else.
+map, cached per set of script ranges, turns each target letter or digit
+into "T", each other letter or digit into "O", each whitespace character
+(``str.isspace``, what ``str.split`` splits on) into a space, and drops
+everything else. The map starts with the ASCII codepoints; a codepoint it
+lacks passes through ``translate`` unchanged, so a result that is not
+ASCII holds exactly the codepoints to add before translating again.
 Splitting the result gives each classifiable token's marks, and each
 distinct mark string is classified once, however often it occurs.
 """
@@ -58,28 +60,21 @@ class LangFilterConfig:
             prev_hi = hi
 
 
-class _ScriptTable(dict):
-    """``str.translate`` map from a codepoint to "T" (target letter or digit),
-    "O" (other letter or digit), " " (whitespace) or None (ignored), filled
-    on first sight."""
-
-    def __init__(self, ranges: tuple[tuple[int, int], ...]):
-        super().__init__()
-        self.ranges = ranges
-
-    def __missing__(self, cp: int) -> str | None:
-        mark = None
-        if chr(cp).isspace():
-            mark = " "
-        elif unicodedata.category(chr(cp))[0] in "LN":
-            mark = "T" if any(lo <= cp <= hi for lo, hi in self.ranges) else "O"
-        self[cp] = mark
-        return mark
+def _mark(cp: int, ranges: tuple[tuple[int, int], ...]) -> str | None:
+    """"T" (target letter or digit), "O" (other letter or digit), " "
+    (whitespace) or None (ignored)."""
+    if chr(cp).isspace():
+        return " "
+    if unicodedata.category(chr(cp))[0] in "LN":
+        return "T" if any(lo <= cp <= hi for lo, hi in ranges) else "O"
+    return None
 
 
 @cache
-def _script_table(ranges: tuple[tuple[int, int], ...]) -> _ScriptTable:
-    return _ScriptTable(ranges)
+def _script_table(ranges: tuple[tuple[int, int], ...]) -> dict[int, str | None]:
+    """The ``str.translate`` map of ``ranges``, holding every codepoint seen
+    so far; it starts with the 128 ASCII codepoints."""
+    return {cp: _mark(cp, ranges) for cp in range(128)}
 
 
 def score_language(text: str, cfg: LangFilterConfig = LangFilterConfig()) -> float:
@@ -87,17 +82,27 @@ def score_language(text: str, cfg: LangFilterConfig = LangFilterConfig()) -> flo
 
     Returns 0.0 when no token is classifiable.
     """
+    ranges = cfg.script_ranges
+    table = _script_table(ranges)
+    marks = text.translate(table)
+    if not marks.isascii():
+        # Every mark is ASCII: what is not is an unseen codepoint.
+        for ch in set(marks):
+            if ch >= "\x80":
+                table[ord(ch)] = _mark(ord(ch), ranges)
+        marks = text.translate(table)
+    if "O" not in marks:
+        # Every classifiable token is all target.
+        return 1.0 if "T" in marks else 0.0
     # One mark string per classifiable token: its tokens with no letter or
     # digit translate to nothing and vanish in the split.
-    counts = Counter(text.translate(_script_table(cfg.script_ranges)).split())
+    counts = Counter(marks.split())
     target = 0
     classified = 0
-    for marks, n in counts.items():
+    for token_marks, n in counts.items():
         classified += n
-        if 2 * marks.count("T") > len(marks):
+        if 2 * token_marks.count("T") > len(token_marks):
             target += n
-    if classified == 0:
-        return 0.0
     return target / classified
 
 

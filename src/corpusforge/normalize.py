@@ -188,17 +188,20 @@ def split_document(doc: Document, cfg: SplitConfig = SplitConfig()) -> list[Docu
     document of at most 1.5x the target is returned unchanged.
     """
     target = cfg.target_tokens
+    limit = int(1.5 * target)
+    # str.split and _TOKEN_RE's \S share one whitespace rule (str.isspace),
+    # so the count decides; only a document to cut needs token spans.
+    if len(doc.text.split()) <= limit:
+        return [doc]
     spans = [m.span() for m in _TOKEN_RE.finditer(doc.text)]
     n = len(spans)
-    if n <= int(1.5 * target):
-        return [doc]
 
     chunks: list[Document] = []
     start = 0
     k = 0
-    while n - start > int(1.5 * target):
+    while n - start > limit:
         lo = max(1, (target + 1) // 2)
-        hi = min(int(1.5 * target), n - start - 1)
+        hi = min(limit, n - start - 1)
         g = _pick_cut(doc.text, spans, start, lo, hi, target, cfg)
         piece = doc.text[spans[start][0] : spans[start + g - 1][1]]
         chunks.append(doc.with_text(piece).with_id(f"{doc.id}#{k}"))

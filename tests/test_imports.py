@@ -1,7 +1,9 @@
-"""numpy is loaded only by near-mode dedup and BLEU, on first use.
+"""Heavy modules load only in the commands that use them: numpy in
+near-mode dedup and BLEU, the process-pool machinery in near-mode SimHash
+at two or more workers, and OpenSSL (through ``hashlib``) in none.
 
 Each case runs a fresh interpreter, since this test process has long
-imported numpy through other tests.
+imported all of them through other tests.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import corpusforge
 from corpusforge.corpus import Corpus, Document, write_jsonl
 
 TEXT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت کا کی کے کو نے"
+# The modules a command loads only on use; ``_hashlib`` is OpenSSL.
+LAZY = ("numpy", "_hashlib", "concurrent.futures", "multiprocessing")
+# Code for a child: the names of LAZY it has loaded.
+LOADED = f"[m for m in {LAZY!r} if m in sys.modules]"
 
 
 def _python(code: str, *args: str, cwd: Path) -> dict:
@@ -39,50 +45,106 @@ def _corpus(tmp_path: Path, n: int) -> None:
     write_jsonl(Corpus(docs), tmp_path / "in.jsonl")
 
 
-def test_importing_the_package_and_cli_loads_no_numpy(tmp_path: Path):
+_MAIN = (
+    "import json, sys\n"
+    "from corpusforge.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    f"print(json.dumps({{'code': code, 'loaded': {LOADED}}}))\n"
+)
+
+
+def test_importing_the_package_and_cli_loads_none_of_them(tmp_path: Path):
     out = _python(
         "import json, sys\n"
         "import corpusforge, corpusforge.cli\n"
-        "print(json.dumps('numpy' in sys.modules))\n",
+        f"print(json.dumps({LOADED}))\n",
         cwd=tmp_path,
     )
-    assert out is False
+    assert out == []
 
 
-def test_exact_mode_run_loads_no_numpy(tmp_path: Path):
-    _corpus(tmp_path, 40)
+def test_exact_mode_run_loads_none_of_them(tmp_path: Path):
+    _corpus(tmp_path, 300)
     out = _python(
-        "import json, sys\n"
-        "from corpusforge.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n",
-        "run", "--workers", "2", "--in", "in.jsonl", "--out", "o.jsonl",
+        _MAIN, "run", "--workers", "2", "--in", "in.jsonl", "--out", "o.jsonl",
         "--report", "r.json",
         cwd=tmp_path,
     )
-    assert out == {"code": 0, "numpy": False}
+    assert out == {"code": 0, "loaded": []}
     report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     dedup = next(stage for stage in report["stages"] if stage["stage"] == "dedup")
-    assert dedup["docs_out"] == 20  # the run did dedup
+    assert dedup["docs_out"] == 150  # the run did dedup
 
 
-def test_near_mode_imports_numpy_before_the_dedup_pool(tmp_path: Path):
+def test_near_mode_at_one_worker_loads_no_pool(tmp_path: Path):
+    _corpus(tmp_path, 300)
+    out = _python(
+        _MAIN, "dedup", "--mode", "near", "--workers", "1", "--in", "in.jsonl",
+        "--out", "o.jsonl",
+        cwd=tmp_path,
+    )
+    assert out == {"code": 0, "loaded": ["numpy"]}
+
+
+def test_near_mode_pool_loads_numpy_first_and_starts_the_class_on_parallel(tmp_path: Path):
     _corpus(tmp_path, 300)
     out = _python(
         "import json, sys\n"
-        "from corpusforge import dedup\n"
+        "from corpusforge import _parallel, dedup\n"
         "from corpusforge.cli import main\n"
         "seen, real = [], dedup.pmap\n"
         "def spy(fn, items, workers=None):\n"
         "    seen.append('numpy' in sys.modules)\n"
         "    return real(fn, items, workers)\n"
         "dedup.pmap = spy\n"
-        "code = main(sys.argv[1:])\n"
-        "print(json.dumps({'code': code, 'seen': seen}))\n",
-        "dedup", "--mode", "near", "--workers", "2", "--in", "in.jsonl", "--out", "o.jsonl",
+        "args = sys.argv[1:]\n"
+        "codes = [main([*args, '--out', 'o1.jsonl'])]\n"
+        f"loaded = {LOADED}\n"
+        # As a tracer does: a subclass of the class resolved on first use.
+        "started = []\n"
+        "class Pool(_parallel.ProcessPoolExecutor):\n"
+        "    def __init__(self, *a, **k):\n"
+        "        started.append(k['max_workers'])\n"
+        "        super().__init__(*a, **k)\n"
+        "_parallel.ProcessPoolExecutor = Pool\n"
+        "codes.append(main([*args, '--out', 'o2.jsonl']))\n"
+        "print(json.dumps({'codes': codes, 'seen': seen, 'loaded': loaded,\n"
+        "                  'started': started}))\n",
+        "dedup", "--mode", "near", "--workers", "2", "--in", "in.jsonl",
         cwd=tmp_path,
     )
-    assert out == {"code": 0, "seen": [True]}
+    # pmap forks no more workers than there are cores.
+    pool = (os.cpu_count() or 1) >= 2
+    assert out == {
+        "codes": [0, 0],
+        "seen": [True, True],
+        "loaded": ["numpy", "concurrent.futures", "multiprocessing"] if pool else ["numpy"],
+        "started": [2] if pool else [],
+    }
+    assert (tmp_path / "o1.jsonl").read_bytes() == (tmp_path / "o2.jsonl").read_bytes()
+
+
+def test_dedup_falls_back_to_hashlib_without_the_builtin_blake2(tmp_path: Path):
+    # hashlib takes its blake2b from _blake2, so it is imported before
+    # _blake2 is hidden; a wrapper in its place shows dedup calls it.
+    out = _python(
+        "import hashlib, json, sys\n"
+        "sys.modules['_blake2'] = None\n"
+        "calls, real = [], hashlib.blake2b\n"
+        "def blake2b(*a, **k):\n"
+        "    calls.append(1)\n"
+        "    return real(*a, **k)\n"
+        "hashlib.blake2b = blake2b\n"
+        "from corpusforge.dedup import content_digest, simhash\n"
+        "text = sys.argv[1]\n"
+        "print(json.dumps({'digest': f'{content_digest(text):032x}',\n"
+        "                  'simhash': simhash(text).hex, 'calls': len(calls)}))\n",
+        TEXT,
+        cwd=tmp_path,
+    )
+    # One call keys the SimHash hasher at import, one takes the digest.
+    assert out == {"digest": "be79f5f99638179c69ba4732507ac29a",
+                   "simhash": "b89089c3f7c54a32", "calls": 2}
 
 
 # The stdout of ``forge bleu`` and ``forge compare`` on the files below,
@@ -119,7 +181,7 @@ _FORGE = (
     "buf = io.StringIO()\n"
     "with contextlib.redirect_stdout(buf):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(json.dumps({'code': code, 'stdout': buf.getvalue(), 'numpy': 'numpy' in sys.modules}))\n"
+    f"print(json.dumps({{'code': code, 'stdout': buf.getvalue(), 'loaded': {LOADED}}}))\n"
 )
 
 
@@ -140,7 +202,7 @@ def test_bleu_and_compare_score_the_same_bytes(tmp_path: Path):
     payload = {"smoothing": "epsilon", "systems": ["a", "b"], "sets": ["refs"],
                "scores": {"refs": _BLEU_SCORES}}
     expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    assert bleu == {"code": 0, "stdout": expected, "numpy": True}
+    assert bleu == {"code": 0, "stdout": expected, "loaded": ["numpy"]}
 
     compare = _python(_FORGE, "compare", "--manifest", "m.json", cwd=tmp_path)
-    assert compare == {"code": 0, "stdout": _COMPARE_TABLE, "numpy": True}
+    assert compare == {"code": 0, "stdout": _COMPARE_TABLE, "loaded": ["numpy"]}

@@ -10,6 +10,7 @@ from corpusforge.errors import ConfigError
 from corpusforge.langid import (
     DROP_BELOW_THRESHOLD,
     LangFilterConfig,
+    _script_table,
     filter_language,
     score_language,
 )
@@ -208,3 +209,23 @@ def test_score_matches_per_codepoint_reference(texts):
     for text in texts:
         for cfg in _SCORING_CFGS:
             assert score_language(text, cfg) == _reference_score(text, cfg)
+
+
+def test_codepoints_first_seen_in_a_later_document():
+    # Ranges no other test uses, so this test owns the cached table.
+    cfg = LangFilterConfig(script_ranges=((0x0600, 0x06FF), (0x1E900, 0x1E95F)))
+    table = _script_table(cfg.script_ranges)
+    assert score_language("کتاب abc", cfg) == _reference_score("کتاب abc", cfg)
+    # Adlam letters (target), e-acute (other), the ideographic space and
+    # the line separator (whitespace), a lone surrogate (ignored).
+    later = [
+        "\U0001e900\U0001e901 \xe9\u3000کتاب \ud800",
+        "\u3000\u2028",
+        "\U0001e900\U0001e901\u3000\U0001e902",
+        "\xe9\U0001e900 \U0001e900\xe9\U0001e901",
+    ]
+    unseen = "\U0001e900\U0001e901\U0001e902\xe9\u3000\u2028\ud800"
+    assert not any(ord(ch) in table for ch in unseen)
+    # Each text twice: first while its codepoints are unseen, then warm.
+    for text in later + later:
+        assert score_language(text, cfg) == _reference_score(text, cfg)

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from corpusforge.corpus import Corpus, Document, whitespace_tokens
 from corpusforge.errors import ConfigError
 from corpusforge.normalize import (
+    _TOKEN_RE,
     CharMapTable,
     SplitConfig,
+    _pick_cut,
     default_table,
     split_corpus,
     split_document,
@@ -185,6 +187,61 @@ def test_split_preserves_token_multiset(n_tokens, target, rng):
     assert all(d.token_count <= 2 * target for d in out)
     ids = [d.id for d in out]
     assert len(set(ids)) == len(ids)
+
+
+def _reference_split(doc: Document, cfg: SplitConfig) -> list[Document]:
+    """``split_document`` building token spans for every document, and
+    deciding from their count whether to cut."""
+    target = cfg.target_tokens
+    spans = [m.span() for m in _TOKEN_RE.finditer(doc.text)]
+    n = len(spans)
+    if n <= int(1.5 * target):
+        return [doc]
+    chunks = []
+    start = 0
+    k = 0
+    while n - start > int(1.5 * target):
+        lo = max(1, (target + 1) // 2)
+        hi = min(int(1.5 * target), n - start - 1)
+        g = _pick_cut(doc.text, spans, start, lo, hi, target, cfg)
+        piece = doc.text[spans[start][0] : spans[start + g - 1][1]]
+        chunks.append(doc.with_text(piece).with_id(f"{doc.id}#{k}"))
+        start += g
+        k += 1
+    piece = doc.text[spans[start][0] : spans[n - 1][1]]
+    chunks.append(doc.with_text(piece).with_id(f"{doc.id}#{k}"))
+    return chunks
+
+
+# Every codepoint that str.split splits on (str.isspace).
+_SPACES = [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+# Letters, a sentence end, and ZWSP/ZWNJ, which are not whitespace.
+_SPLIT_WORDS = ["کتاب", "a", "x1", "لفظ۔", "\u200b", "ab\u200cc"]
+
+
+@pytest.mark.parametrize("target", [1, 2, 7, 10])
+def test_split_at_the_cap_matches_reference(target):
+    cfg = SplitConfig(target_tokens=target)
+    cap = int(1.5 * target)
+    for ws in _SPACES:
+        for n in (cap, cap + 1):
+            words = [_SPLIT_WORDS[i % len(_SPLIT_WORDS)] for i in range(n)]
+            doc = Document(id="c", source="s", text=ws + (ws + ws).join(words) + ws)
+            out = split_document(doc, cfg)
+            assert out == _reference_split(doc, cfg), f"U+{ord(ws):04X}"
+            assert (out == [doc]) == (n == cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_SPLIT_WORDS), st.text(st.sampled_from(_SPACES), min_size=1,
+                                                              max_size=3)), max_size=60),
+    st.integers(min_value=1, max_value=20),
+)
+def test_split_matches_reference(pieces, target):
+    doc = Document(id="h", source="s", text="".join(w + ws for w, ws in pieces))
+    cfg = SplitConfig(target_tokens=target)
+    assert split_document(doc, cfg) == _reference_split(doc, cfg)
 
 
 def test_split_config_validation():
