@@ -7,10 +7,11 @@ a 64-bit SimHash of the same content's character 4-shingles: each
 shingle is hashed with a keyed 8-byte blake2b, and a bit of the
 fingerprint is set when most shingle hashes set it. Near mode drops
 fingerprint-equal documents and documents within a small Hamming
-distance; a probe that misses the equal lookup compares the fingerprint
-with every kept one in a single numpy popcount pass and takes the
-earliest kept one within the threshold. The first document in input
-order always wins.
+distance; a probe that misses the equal lookup takes the earliest kept
+fingerprint within the threshold. At thresholds 1-7 it finds it through
+a pigeonhole index of fingerprint blocks (see ``DedupRegistry``); above
+7 it compares the fingerprint with every kept one in a single numpy
+popcount pass. The first document in input order always wins.
 
 Duplicates are removed in three passes, each switched by a field of
 ``DedupConfig``: within each source, across the whole corpus, then
@@ -24,12 +25,12 @@ to dedup new data against an existing collection. A sidecar line is
 digest, so a sidecar never seeds a run of the other mode. SimHash values
 must never change, since near-mode sidecars carry no hash version.
 
-Only near mode needs numpy (``simhash`` and the near probe), and imports
-it on first use, so an exact-mode run never loads it. ``document_keys``
-imports it before its pool forks, so pool workers inherit it. blake2b
-comes from CPython's built-in ``_blake2`` module, the same function that
-``hashlib`` re-exports, so no command loads OpenSSL through ``hashlib``
-unless the built-in module is missing.
+Only a near-mode probe at a threshold above 7 needs numpy, and imports
+it on first use: ``simhash`` counts its bit votes on plain ints, so
+every other run never loads it. blake2b comes from CPython's built-in
+``_blake2`` module, the same function that ``hashlib`` re-exports, so
+no command loads OpenSSL through ``hashlib`` unless the built-in module
+is missing.
 """
 
 from __future__ import annotations
@@ -126,8 +127,6 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
     Whitespace-only text maps to the zero fingerprint. Text shorter than
     the shingle width is hashed as one shingle.
     """
-    import numpy as np
-
     content = "".join(text.split())
     if not content:
         return Fingerprint(0)
@@ -138,29 +137,79 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
         h = _HASHER.copy()
         h.update(content[i : i + w].encode("utf-8"))
         digests.append(h.digest())
-    # Row i holds shingle i's digest as 64 bits, most significant first.
-    bits = np.unpackbits(np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(n, 8), axis=1)
-    majority = 2 * bits.sum(axis=0) > n
-    return Fingerprint(int.from_bytes(np.packbits(majority).tobytes(), "big"))
+    return Fingerprint(_bit_vote(b"".join(digests), n))
+
+
+def _bit_vote(joined: bytes, n: int) -> int:
+    """The bitwise majority of ``n`` joined 8-byte digests, as a 64-bit
+    int: a bit is set when more than half of the digests set it, so a
+    tie leaves it clear."""
+    # Mask j holds bit j (from the top) of each of n bytes.
+    top = int.from_bytes(b"\x80" * n, "big")
+    masks = [top >> j for j in range(8)]
+    bits = 0
+    for k in range(8):
+        # Byte k of every digest: bit j of this column is bit 8k+j of the
+        # vote, counted from the top.
+        column = int.from_bytes(joined[k::8], "big")
+        for mask in masks:
+            bits = bits << 1 | (2 * (column & mask).bit_count() > n)
+    return bits
+
+
+def _blocks(threshold: int) -> list[tuple[int, int]]:
+    """(shift, mask) of each of ``max(threshold + 1, 4)`` contiguous blocks
+    that split a 64-bit key, widest first, each at most 16 bits wide.
+
+    Two keys within ``threshold`` bits of each other differ in at most
+    ``threshold`` blocks, so they are equal on at least one.
+    """
+    n = max(threshold + 1, 4)
+    blocks, shift = [], 64
+    for i in range(n):
+        width = 64 // n + (i < 64 % n)
+        shift -= width
+        blocks.append((shift, (1 << width) - 1))
+    return blocks
 
 
 class DedupRegistry:
     """Seen keys with first-wins lookup.
 
     Keys are plain ints: content digests in exact mode, SimHash bits in
-    near mode. Equal keys are looked up in a dict. Near mode also
-    compares the probe with every entry in one numpy pass over an array
-    of the distinct fingerprints in insertion order, so the first match
-    along it is the earliest kept document within the threshold.
+    near mode. Equal keys are looked up in a dict, which is all that
+    exact mode and near mode at threshold 0 need. At a higher threshold
+    the distinct fingerprints are also kept in insertion order as
+    entries 0, 1, ..., and a probe returns the smallest entry within the
+    threshold, which is the earliest kept document:
+
+    - At thresholds 1-7 a pigeonhole index (Manku, Jain & Das Sarma, WWW
+      2007) finds it. The 64 bits are split into ``max(k + 1, 4)``
+      blocks of at most 16 bits (see ``_blocks``), and each block has a
+      dict from a block value to the entries holding it, in insertion
+      order. An entry within the threshold k equals the probe on some
+      block, so only the entries that share a block value with the probe
+      are checked. A value held by one entry maps to that entry's index,
+      not to a list, which halves the index's memory.
+    - Above 7 the probe takes one numpy popcount pass over every entry
+      instead: blocks under 8 bits wide would make most entries
+      candidates.
     """
 
     def __init__(self, cfg: DedupConfig):
         self.cfg = cfg
         # Key -> id of the first document added with it, in insertion order.
         self._first: dict[int, str] = {}
-        # Near mode only: entry i is the i-th distinct fingerprint added.
+        # Near mode above threshold 0: entry i is the i-th distinct
+        # fingerprint added, and its id.
+        self._near = cfg.mode == "near" and cfg.hamming_threshold > 0
         self._ids: list[str] = []
         self._bits = array("Q")
+        # The pigeonhole index, at thresholds 1-7: per block, a dict from a
+        # block value to an entry index or a list of them, ascending.
+        indexed = self._near and cfg.hamming_threshold < 8
+        self._blocks = _blocks(cfg.hamming_threshold) if indexed else []
+        self._tables: list[dict[int, int | list[int]]] = [{} for _ in self._blocks]
 
     def probe(self, key: int) -> str | None:
         """Id of the kept duplicate, or None if unseen.
@@ -168,27 +217,46 @@ class DedupRegistry:
         An equal key wins over an earlier entry within the threshold.
         """
         hit = self._first.get(key)
-        if hit is not None:
+        if hit is not None or not self._ids:
             return hit
-        if self.cfg.mode == "near" and self._ids:
-            import numpy as np
+        i = self._indexed_probe(key) if self._tables else self._scan(key)
+        return None if i is None else self._ids[i]
 
-            # A temporary view: an array exporting its buffer cannot grow.
-            bits = np.frombuffer(self._bits, dtype=np.uint64)
-            dist = np.bitwise_count(bits ^ np.uint64(key))
-            near = dist <= self.cfg.hamming_threshold
-            first = int(near.argmax())
-            if near[first]:
-                return self._ids[first]
-        return None
+    def _indexed_probe(self, key: int) -> int | None:
+        """The smallest entry within the threshold, from the index."""
+        bits, k = self._bits, self.cfg.hamming_threshold
+        best = len(bits)
+        for table, (shift, mask) in zip(self._tables, self._blocks):
+            held = table.get(key >> shift & mask)
+            if held is None:
+                continue
+            # Ascending, so the first entry within the threshold is this
+            # block's smallest, and none past the best so far can win.
+            for i in (held,) if type(held) is int else held:
+                if i >= best:
+                    break
+                if (bits[i] ^ key).bit_count() <= k:
+                    best = i
+                    break
+        return best if best < len(bits) else None
+
+    def _scan(self, key: int) -> int | None:
+        """The smallest entry within the threshold, from a popcount of
+        every entry."""
+        import numpy as np
+
+        # A temporary view: an array exporting its buffer cannot grow.
+        bits = np.frombuffer(self._bits, dtype=np.uint64)
+        near = np.bitwise_count(bits ^ np.uint64(key)) <= self.cfg.hamming_threshold
+        first = int(near.argmax())
+        return first if near[first] else None
 
     def add(self, key: int, doc_id: str) -> None:
         if key in self._first:
             return
         self._first[key] = doc_id
-        if self.cfg.mode == "near":
-            self._bits.append(key)
-            self._ids.append(doc_id)
+        if self._near:
+            self._append([key], [doc_id])
 
     def extend(self, ids: list[str], keys: list[int]) -> None:
         """``add`` each key with the id at its index, in one call: a key
@@ -196,10 +264,28 @@ class DedupRegistry:
         start = len(self._first)
         for key, doc_id in zip(keys, ids):
             self._first.setdefault(key, doc_id)
-        if self.cfg.mode == "near":
+        if self._near:
             added = list(islice(self._first.items(), start, None))
-            self._bits.extend(key for key, _ in added)
-            self._ids.extend(doc_id for _, doc_id in added)
+            self._append([key for key, _ in added], [doc_id for _, doc_id in added])
+
+    def _append(self, keys: list[int], ids: list[str]) -> None:
+        """Add entries for distinct keys not held yet, and index them
+        block by block."""
+        start = len(self._ids)
+        self._bits.extend(keys)
+        self._ids.extend(ids)
+        # One int object per index, shared by every block's table.
+        indices = list(range(start, len(self._ids)))
+        for table, (shift, mask) in zip(self._tables, self._blocks):
+            for i, key in zip(indices, keys):
+                value = key >> shift & mask
+                held = table.get(value)
+                if held is None:
+                    table[value] = i
+                elif type(held) is int:
+                    table[value] = [held, i]
+                else:
+                    held.append(i)
 
     def __len__(self) -> int:
         return len(self._first)
@@ -218,9 +304,6 @@ def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -
     check_workers(workers)
     if cfg.mode == "exact":
         return [content_digest(t) for t in texts]
-    # Imported before pmap's pool forks, so no pool worker imports it again.
-    import numpy  # noqa: F401
-
     return [fp.bits for fp in pmap(partial(simhash, cfg=cfg), texts, workers)]
 
 

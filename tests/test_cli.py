@@ -16,7 +16,7 @@ from corpusforge.dedup import DedupConfig, Fingerprint, dedup_pass, read_fingerp
 from corpusforge.langid import LangFilterConfig, filter_language
 from corpusforge.mteval import corpus_bleu
 from corpusforge.normalize import SplitConfig, split_corpus, standardize_corpus
-from corpusforge.quality import filter_quality, scrub_corpus_pii
+from corpusforge.quality import default_stopwords, filter_quality, scrub_corpus_pii
 
 STOP = "کا کی کے کو نے سے پر ہے ہیں اور".split()
 CONTENT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت".split()
@@ -448,6 +448,98 @@ def test_stage_subcommand_equals_its_stage_functions(tmp_path: Path, argv, oracl
     assert [_without_durations(s) for s in stages] == [
         _without_durations(r.to_dict()) for r in reports
     ]
+
+
+URDU_LETTERS = "ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے"
+PII_VALUES = ("ali.42@example.com", "+92 300 1234567", "0321-7654321", "35202-1234567-1")
+
+
+def _chain_input(in_dir: Path, seed: int) -> None:
+    """Seeded input with the make-up of the benchmark's chain workload, one
+    file per source: Urdu-like documents, some holding an email, phone or
+    CNIC, some with an Arabic kaf that standardizing rewrites; multi-paragraph documents longer than the split target;
+    Latin-script documents; Urdu documents without stopwords;
+    whitespace-variant copies within and across sources; one-character
+    variants; and copies with one line repeated."""
+    rng = random.Random(seed)
+    stop = sorted(default_stopwords())
+    vocab = ["".join(rng.choices(URDU_LETTERS, k=rng.randint(3, 8))) for _ in range(800)]
+
+    def lines(n_tokens: int, stop_share: float = 0.35) -> list[str]:
+        out = []
+        while n_tokens > 0:
+            n = min(n_tokens, rng.randint(8, 20))
+            words = [rng.choice(stop) if rng.random() < stop_share else rng.choice(vocab)
+                     for _ in range(n)]
+            out.append(" ".join(words) + "۔")
+            n_tokens -= n
+        return out
+
+    sources = ("books", "news", "web")
+    docs: dict[str, list[str]] = {source: [] for source in (*sources, "probe")}
+    for _ in range(40):
+        text = lines(rng.randint(80, 400))
+        if rng.random() < 0.2:
+            i = rng.randrange(len(text))
+            text[i] = f"{text[i]} {rng.choice(PII_VALUES)} {rng.choice(vocab)}۔"
+        if rng.random() < 0.2:
+            text = [line.replace("ک", "ك") for line in text]
+        docs[rng.choice(sources)].append("\n".join(text))
+    for _ in range(3):
+        text = lines(rng.randint(900, 1400))
+        paragraphs = ["\n".join(text[i : i + 4]) for i in range(0, len(text), 4)]
+        docs[rng.choice(sources)].append("\n\n".join(paragraphs))
+    for _ in range(4):
+        latin = " ".join(rng.choice(["the", "river", "school", "market", "of"]) for _ in range(80))
+        docs[rng.choice(sources)].append(latin)
+        docs[rng.choice(sources)].append("\n".join(lines(rng.randint(60, 200), stop_share=0.0)))
+    bases = [(source, text) for source in sources for text in docs[source]]
+    for k in range(10):
+        source, text = rng.choice(bases)
+        copy = "".join(rng.choice(("  ", "\t", " ")) if ch == " " else ch for ch in text)
+        docs[source if k % 2 else rng.choice(sources)].append(copy)
+    for _ in range(6):
+        text = lines(rng.randint(60, 160))
+        docs["probe"].append("\n".join(text))
+        i = rng.randrange(len(text))
+        if rng.random() < 0.5:
+            j = rng.randrange(len(text[i]) - 1)
+            text[i] = text[i][:j] + rng.choice(URDU_LETTERS) + text[i][j + 1 :]
+        else:
+            text.insert(i, text[i])
+        docs["probe"].append("\n".join(text))
+    serial = 0
+    in_dir.mkdir()
+    for source, texts in docs.items():
+        rng.shuffle(texts)
+        records = []
+        for text in texts:
+            records.append(Document(id=f"{source}-{serial:04d}", source=source, text=text))
+            serial += 1
+        _write(in_dir / f"{source}.jsonl", records)
+
+
+@pytest.mark.parametrize("mode", ["exact", "near"])
+def test_chained_stage_subcommands_give_the_output_of_run(tmp_path: Path, mode: str):
+    _chain_input(tmp_path / "in", seed=3)
+    inputs = str(tmp_path / "in" / "*.jsonl")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dedup": {"mode": mode}}), encoding="utf-8")
+    run_out = tmp_path / "run.jsonl"
+    assert _forge("run", "--config", str(cfg), "--workers", "1", "--in", inputs,
+                  "--out", str(run_out)) == 0
+    step = inputs
+    for argv in (["lang"], ["normalize"], ["quality"], ["dedup", "--mode", mode], ["split"]):
+        out = tmp_path / f"{argv[0]}.jsonl"
+        assert _forge(*argv, "--workers", "1", "--in", step, "--out", str(out)) == 0
+        step = str(out)
+    assert Path(step).read_bytes() == run_out.read_bytes()
+    # Every stage had work to do.
+    kept = list(read_jsonl(run_out))
+    n_in = sum(len(list(read_jsonl(f))) for f in (tmp_path / "in").glob("*.jsonl"))
+    assert len({d.id.split("#")[0] for d in kept}) < n_in
+    assert any(d.id.endswith("#1") for d in kept)
+    assert any("<PII:" in d.text for d in kept)
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])

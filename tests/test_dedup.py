@@ -219,6 +219,48 @@ def test_simhash_matches_per_shingle_reference(width, text):
     assert simhash(text, cfg) == _reference_simhash(text, cfg)
 
 
+def _unpackbits_vote(joined: bytes, n: int) -> int:
+    """The numpy bit vote: row i of an n x 64 bit matrix holds digest i,
+    most significant bit first, and a column's bit is set when its sum
+    is more than n / 2."""
+    bits = np.unpackbits(np.frombuffer(joined, dtype=np.uint8).reshape(n, 8), axis=1)
+    return int.from_bytes(np.packbits(2 * bits.sum(axis=0) > n).tobytes(), "big")
+
+
+@st.composite
+def _digest_blocks(draw):
+    """(joined digests, n): random rows, a single row, or an even number
+    of rows whose second half repeats the first with the bits of a tie
+    mask flipped, so every bit of the mask is an exact tie."""
+    kind = draw(st.sampled_from(["random", "one", "tie"]))
+    if kind == "one":
+        return draw(st.binary(min_size=8, max_size=8)), 1
+    if kind == "random":
+        n = draw(st.integers(1, 300))
+        return draw(st.binary(min_size=8 * n, max_size=8 * n)), n
+    rows = draw(st.lists(st.integers(0, _TOP), min_size=1, max_size=150))
+    tie = draw(st.sampled_from([_TOP, 0, 1 << 63, 1]) | st.integers(0, _TOP))
+    rows += [row ^ tie for row in rows]
+    draw(st.randoms()).shuffle(rows)
+    return b"".join(row.to_bytes(8, "big") for row in rows), len(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digest_blocks())
+def test_bit_vote_matches_the_unpackbits_vote(block):
+    joined, n = block
+    assert dedup._bit_vote(joined, n) == _unpackbits_vote(joined, n)
+
+
+@pytest.mark.parametrize("text, width", [("ک", 4), ("اب ", 4), ("کتا", 4), ("𐌰𐌱", 3), ("ab", 8)])
+def test_text_shorter_than_the_shingle_width_votes_one_digest(text, width):
+    # One shingle: the vote of a single digest is that digest.
+    digest = _shingle_hash("".join(text.split())).to_bytes(8, "big")
+    expected = _unpackbits_vote(digest, 1)
+    assert expected == int.from_bytes(digest, "big")
+    assert simhash(text, DedupConfig(shingle_width=width)).bits == expected
+
+
 # ------------------------------------------------------------------ doc dedup
 
 
@@ -726,6 +768,88 @@ def test_registry_probe_matches_linear_reference(mode, threshold, ops):
     assert registry.pairs() == expected
     for start in (0, len(expected) // 2, len(expected), len(expected) + 1):
         assert registry.pairs(start=start) == expected[start:]
+
+
+def _numpy_scan_probe(entries: dict[int, str], key: int, cfg: DedupConfig) -> str | None:
+    """The linear numpy probe: the equal entry, else in near mode the
+    first entry in insertion order whose popcount distance is within the
+    threshold, from one pass over every entry."""
+    hit = entries.get(key)
+    if hit is not None or cfg.mode != "near" or not entries:
+        return hit
+    bits = np.fromiter(entries, dtype=np.uint64, count=len(entries))
+    near = np.bitwise_count(bits ^ np.uint64(key)) <= cfg.hamming_threshold
+    first = int(near.argmax())
+    return list(entries.values())[first] if near[first] else None
+
+
+@st.composite
+def _planted_registry(draw, threshold: int):
+    """(sidecar keys, steps): keys to seed through ``extend``, then
+    ("add", key) and ("probe", key) steps. Keys and probes are random,
+    repeats, or planted 0 to threshold + 1 bits from a key drawn before:
+    at random bits, or exactly threshold bits spread evenly over the key,
+    which puts one flip in each of as many blocks of a block index as it
+    can."""
+    rng = draw(st.randoms(use_true_random=False))
+    keys: list[int] = [draw(st.integers(0, _TOP))]
+    steps = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["random", "repeat", "planted", "planted", "spread"]))
+        if kind == "random":
+            key = draw(st.integers(0, _TOP))
+        else:
+            key = draw(st.sampled_from(keys))
+        bits: list[int] = []
+        if kind == "planted":
+            bits = rng.sample(range(64), draw(st.integers(0, min(threshold + 1, 64))))
+        elif kind == "spread" and threshold:
+            # At the threshold itself: the farthest key a probe must find.
+            offset = rng.randrange(64)
+            bits = [(offset + j * 64 // threshold) % 64 for j in range(threshold)]
+        for bit in bits:
+            key ^= 1 << bit
+        keys.append(key)
+        steps.append((draw(st.sampled_from(["add", "probe", "probe"])), key))
+    split = draw(st.integers(0, len(steps)))
+    return [key for _, key in steps[:split]], steps[split:]
+
+
+@pytest.mark.parametrize("threshold", range(65))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_registry_probe_matches_the_numpy_scan(threshold, data):
+    """Every threshold, through ``extend`` (sidecar seeding, repeated keys
+    included) and ``add``: the index at 1-7, the scan above, and the
+    equal lookup alone at 0 give the scan's id, an equal key first."""
+    cfg = DedupConfig(mode="near", hamming_threshold=threshold)
+    seeded, steps = data.draw(_planted_registry(threshold))
+    registry = DedupRegistry(cfg)
+    registry.extend([f"s{i}" for i in range(len(seeded))], seeded)
+    entries: dict[int, str] = {}
+    for i, key in enumerate(seeded):
+        entries.setdefault(key, f"s{i}")
+    for i, (op, key) in enumerate(steps):
+        if op == "add":
+            registry.add(key, f"a{i}")
+            entries.setdefault(key, f"a{i}")
+        else:
+            assert registry.probe(key) == _numpy_scan_probe(entries, key, cfg)
+    # An equal key wins over every earlier entry within the threshold.
+    for key, doc_id in entries.items():
+        assert registry.probe(key) == doc_id
+    assert len(registry) == len(entries)
+
+
+def test_registry_blocks_split_the_key_for_the_pigeonhole_rule():
+    for threshold in range(1, 8):
+        blocks = dedup._blocks(threshold)
+        assert len(blocks) == max(threshold + 1, 4)
+        widths = [mask.bit_length() for _, mask in blocks]
+        assert max(widths) <= 16 and max(widths) - min(widths) <= 1
+        # Contiguous and covering: the masks in place tile all 64 bits.
+        assert sum(mask << shift for shift, mask in blocks) == _TOP
+        assert [shift for shift, _ in blocks] == sorted((s for s, _ in blocks), reverse=True)
 
 
 def test_registry_exact_hit_beats_earlier_near_entry():

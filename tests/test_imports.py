@@ -1,6 +1,7 @@
-"""Heavy modules load only in the commands that use them: numpy in
-near-mode dedup and BLEU, the process-pool machinery in near-mode SimHash
-at two or more workers, and OpenSSL (through ``hashlib``) in none.
+"""Heavy modules load only in the commands that use them: numpy in BLEU
+and in near-mode probes at a threshold above 7, the process-pool
+machinery in near-mode SimHash at two or more workers, and OpenSSL
+(through ``hashlib``) in none.
 
 Each case runs a fresh interpreter, since this test process has long
 imported all of them through other tests.
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import corpusforge
 from corpusforge.corpus import Corpus, Document, write_jsonl
@@ -76,17 +79,17 @@ def test_exact_mode_run_loads_none_of_them(tmp_path: Path):
     assert dedup["docs_out"] == 150  # the run did dedup
 
 
-def test_near_mode_at_one_worker_loads_no_pool(tmp_path: Path):
+def test_near_mode_at_one_worker_loads_no_pool_and_no_numpy(tmp_path: Path):
     _corpus(tmp_path, 300)
     out = _python(
         _MAIN, "dedup", "--mode", "near", "--workers", "1", "--in", "in.jsonl",
         "--out", "o.jsonl",
         cwd=tmp_path,
     )
-    assert out == {"code": 0, "loaded": ["numpy"]}
+    assert out == {"code": 0, "loaded": []}
 
 
-def test_near_mode_pool_loads_numpy_first_and_starts_the_class_on_parallel(tmp_path: Path):
+def test_near_mode_pool_loads_no_numpy_and_starts_the_class_on_parallel(tmp_path: Path):
     _corpus(tmp_path, 300)
     out = _python(
         "import json, sys\n"
@@ -117,11 +120,41 @@ def test_near_mode_pool_loads_numpy_first_and_starts_the_class_on_parallel(tmp_p
     pool = (os.cpu_count() or 1) >= 2
     assert out == {
         "codes": [0, 0],
-        "seen": [True, True],
-        "loaded": ["numpy", "concurrent.futures", "multiprocessing"] if pool else ["numpy"],
+        "seen": [False, False],
+        "loaded": ["concurrent.futures", "multiprocessing"] if pool else [],
         "started": [2] if pool else [],
     }
     assert (tmp_path / "o1.jsonl").read_bytes() == (tmp_path / "o2.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("threshold, scans", [(7, False), (8, True)])
+def test_near_mode_loads_numpy_only_once_a_probe_scans(tmp_path: Path, threshold, scans):
+    _corpus(tmp_path, 300)
+    out = _python(
+        "import json, sys\n"
+        "from corpusforge import dedup\n"
+        "from corpusforge.cli import main\n"
+        # Per probe: the registry's size, and numpy's presence before and after.
+        "calls, real = [], dedup.DedupRegistry.probe\n"
+        "def spy(self, key):\n"
+        "    before = 'numpy' in sys.modules\n"
+        "    hit = real(self, key)\n"
+        "    calls.append([len(self), before, 'numpy' in sys.modules])\n"
+        "    return hit\n"
+        "dedup.DedupRegistry.probe = spy\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(json.dumps({{'code': code, 'calls': calls, 'loaded': {LOADED}}}))\n",
+        "dedup", "--mode", "near", "--hamming", str(threshold), "--workers", "1",
+        "--in", "in.jsonl", "--out", "o.jsonl",
+        cwd=tmp_path,
+    )
+    assert out["code"] == 0
+    assert out["loaded"] == (["numpy"] if scans else [])
+    # Keying loads none; one probe loads it, and never a probe of an
+    # empty registry, which has nothing to scan.
+    assert not out["calls"][0][1]
+    loads = [size for size, before, after in out["calls"] if after and not before]
+    assert [size > 0 for size in loads] == ([True] if scans else [])
 
 
 def test_dedup_falls_back_to_hashlib_without_the_builtin_blake2(tmp_path: Path):
