@@ -205,11 +205,12 @@ class DedupRegistry:
         self._near = cfg.mode == "near" and cfg.hamming_threshold > 0
         self._ids: list[str] = []
         self._bits = array("Q")
-        # The pigeonhole index, at thresholds 1-7: per block, a dict from a
-        # block value to an entry index or a list of them, ascending.
-        indexed = self._near and cfg.hamming_threshold < 8
-        self._blocks = _blocks(cfg.hamming_threshold) if indexed else []
-        self._tables: list[dict[int, int | list[int]]] = [{} for _ in self._blocks]
+        # The pigeonhole index, at thresholds 1-7: per block, its shift and
+        # mask and a dict from a block value to an entry index or an
+        # ascending list of them.
+        self._index: list[tuple[int, int, dict[int, int | list[int]]]] = []
+        if self._near and cfg.hamming_threshold < 8:
+            self._index = [(shift, mask, {}) for shift, mask in _blocks(cfg.hamming_threshold)]
 
     def probe(self, key: int) -> str | None:
         """Id of the kept duplicate, or None if unseen.
@@ -219,14 +220,14 @@ class DedupRegistry:
         hit = self._first.get(key)
         if hit is not None or not self._ids:
             return hit
-        i = self._indexed_probe(key) if self._tables else self._scan(key)
+        i = self._indexed_probe(key) if self._index else self._scan(key)
         return None if i is None else self._ids[i]
 
     def _indexed_probe(self, key: int) -> int | None:
         """The smallest entry within the threshold, from the index."""
         bits, k = self._bits, self.cfg.hamming_threshold
         best = len(bits)
-        for table, (shift, mask) in zip(self._tables, self._blocks):
+        for shift, mask, table in self._index:
             held = table.get(key >> shift & mask)
             if held is None:
                 continue
@@ -276,7 +277,7 @@ class DedupRegistry:
         self._ids.extend(ids)
         # One int object per index, shared by every block's table.
         indices = list(range(start, len(self._ids)))
-        for table, (shift, mask) in zip(self._tables, self._blocks):
+        for shift, mask, table in self._index:
             for i, key in zip(indices, keys):
                 value = key >> shift & mask
                 held = table.get(value)

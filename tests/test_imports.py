@@ -79,11 +79,13 @@ def test_exact_mode_run_loads_none_of_them(tmp_path: Path):
     assert dedup["docs_out"] == 150  # the run did dedup
 
 
-def test_near_mode_at_one_worker_loads_no_pool_and_no_numpy(tmp_path: Path):
+@pytest.mark.parametrize("command", [["dedup", "--mode", "near"], ["run", "--config", "near.json"]],
+                         ids=["dedup", "run"])
+def test_near_mode_at_one_worker_loads_no_pool_and_no_numpy(tmp_path: Path, command):
     _corpus(tmp_path, 300)
+    (tmp_path / "near.json").write_text(json.dumps({"dedup": {"mode": "near"}}), encoding="utf-8")
     out = _python(
-        _MAIN, "dedup", "--mode", "near", "--workers", "1", "--in", "in.jsonl",
-        "--out", "o.jsonl",
+        _MAIN, *command, "--workers", "1", "--in", "in.jsonl", "--out", "o.jsonl",
         cwd=tmp_path,
     )
     assert out == {"code": 0, "loaded": []}
