@@ -457,10 +457,11 @@ PII_VALUES = ("ali.42@example.com", "+92 300 1234567", "0321-7654321", "35202-12
 def _chain_input(in_dir: Path, seed: int) -> None:
     """Seeded input with the make-up of the benchmark's chain workload, one
     file per source: Urdu-like documents, some holding an email, phone or
-    CNIC, some with an Arabic kaf that standardizing rewrites; multi-paragraph documents longer than the split target;
-    Latin-script documents; Urdu documents without stopwords;
-    whitespace-variant copies within and across sources; one-character
-    variants; and copies with one line repeated."""
+    CNIC and some an Arabic kaf that standardizing rewrites;
+    multi-paragraph documents longer than the split target; Latin-script
+    documents; Urdu documents without stopwords; whitespace-variant
+    copies within and across sources; one-character variants; and copies
+    with one line repeated."""
     rng = random.Random(seed)
     stop = sorted(default_stopwords())
     vocab = ["".join(rng.choices(URDU_LETTERS, k=rng.randint(3, 8))) for _ in range(800)]
