@@ -1,7 +1,8 @@
 """Fingerprints, Hamming distance, and incremental deduplication.
 
-Shows what the 64-bit near-mode fingerprints look like, how whitespace
-edits and single-character edits move them, and how a sidecar of the
+Shows what the 64-bit near-mode fingerprints look like (plain ints, like
+every dedup key), how whitespace edits and single-character edits move
+them, and how a sidecar of the
 keys a run kept lets a later batch dedup against an earlier one without
 re-reading it.
 """
@@ -11,13 +12,7 @@ import tempfile
 from pathlib import Path
 
 from corpusforge import Corpus, DedupConfig, Document, simhash
-from corpusforge.dedup import (
-    DedupRegistry,
-    dedup_documents,
-    read_fingerprints,
-    seed_registry,
-    write_fingerprints,
-)
+from corpusforge.dedup import DedupRegistry, dedup_documents, read_sidecar, write_fingerprints
 
 ALPHABET = "ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے"
 rng = random.Random(20250825)
@@ -31,17 +26,17 @@ def random_doc(n=400):
 # shingling, so reflowed copies collide exactly.
 a = "یہ ایک لمبا جملہ ہے جو بار بار آتا ہے"
 b = "یہ  ایک\nلمبا جملہ ہے جو بار\tبار آتا ہے"
-print(f"fingerprint(a) = {simhash(a).hex}")
-print(f"fingerprint(b) = {simhash(b).hex}")
-print(f"space-variant distance: {simhash(a).hamming(simhash(b))}\n")
+print(f"fingerprint(a) = {simhash(a):016x}")
+print(f"fingerprint(b) = {simhash(b):016x}")
+print(f"space-variant distance: {(simhash(a) ^ simhash(b)).bit_count()}\n")
 
 # A one-character edit moves only a few bits; unrelated text lands about
 # half the 64 bits away.
 base = random_doc()
 edited = "x" + base[1:]
 other = random_doc()
-print(f"one-char edit distance:  {simhash(base).hamming(simhash(edited))}")
-print(f"unrelated doc distance:  {simhash(base).hamming(simhash(other))}\n")
+print(f"one-char edit distance:  {(simhash(base) ^ simhash(edited)).bit_count()}")
+print(f"unrelated doc distance:  {(simhash(base) ^ simhash(other)).bit_count()}\n")
 
 # Exact mode keys on a digest of the whitespace-free content, so it drops
 # only docs with the same content; near mode drops anything within the
@@ -72,7 +67,9 @@ with tempfile.TemporaryDirectory() as tmp:
     write_fingerprints(sidecar, registry.pairs())
     print(f"\nsidecar line: {sidecar.read_text().strip()}")
 
-    registry = seed_registry(read_fingerprints(sidecar, "exact"))
+    # read_sidecar checks that every key is an exact-mode key.
+    registry = DedupRegistry(DedupConfig())
+    registry.extend(*read_sidecar(sidecar, "exact")[:2])
     batch2 = Corpus(
         [
             Document(id="b2-copy", source="s", text=" " + base),

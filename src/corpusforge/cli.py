@@ -182,8 +182,7 @@ def _cmd_corpus(args, staged) -> int:
         )
     registry = DedupRegistry(cfg.dedup)
     if args.fps_in:
-        ids, keys, _ = read_sidecar(args.fps_in, cfg.dedup.mode)
-        registry.extend(ids, keys)
+        registry.extend(*read_sidecar(args.fps_in, cfg.dedup.mode)[:2])
     seeded = len(registry)
     corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg, registry=registry)
     if args.stages is not None:

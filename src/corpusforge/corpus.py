@@ -45,15 +45,15 @@ def _strip_surrogates(text: str) -> str:
 def read_input(
     path: str | Path, what: str, error: type[ForgeError] = ConfigError, newline: str | None = None
 ) -> str:
-    """The UTF-8 text of a non-corpus input file, read with ``open``'s
-    ``newline`` (universal newlines by default; "" reads line ends as they are).
+    """The UTF-8 text, less a leading BOM, of a non-corpus input file, read with
+    ``open``'s ``newline`` (universal newlines by default; "" reads line ends as they are).
 
     A file that cannot be opened or decoded, or a path holding a NUL,
     raises ``error`` naming the file as ``what``: ConfigError for
     config-like files, DataError for data.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable, or NUL in path
         raise error(f"cannot read {what} {path}: {exc}") from exc

@@ -1,11 +1,11 @@
 """Duplicate removal keyed on content digests (exact) or SimHash (near).
 
-Exact mode keys each document on a 128-bit blake2b of its content with
-every whitespace character removed, so re-wrapped or re-spaced copies
-collide and documents whose content differs never do. Near mode keys on
-a 64-bit SimHash of the same content's character 4-shingles: each
-shingle is hashed with a keyed 8-byte blake2b, and a bit of the
-fingerprint is set when most shingle hashes set it. Near mode drops
+Both modes key each document on a plain int. Exact mode's is a 128-bit
+blake2b of its content with every whitespace character removed, so
+re-wrapped or re-spaced copies collide and documents whose content
+differs never do. Near mode's is a 64-bit SimHash of the same content's
+character 4-shingles: each shingle is hashed with a keyed 8-byte
+blake2b, and a bit is set when most shingle hashes set it. Near mode drops
 fingerprint-equal documents and documents within a small Hamming
 distance; a probe that misses the equal lookup takes the earliest kept
 fingerprint within the threshold. At thresholds 1-7 it finds it through
@@ -22,8 +22,10 @@ Blank lines survive line dedup, since they mark paragraph breaks. The
 corpus-wide pass's registry can be saved to a sidecar file and reloaded
 to dedup new data against an existing collection. A sidecar line is
 ``id<TAB>hex``: 16 hex digits hold a near-mode SimHash, 32 an exact-mode
-digest, so a sidecar never seeds a run of the other mode. SimHash values
-must never change, since near-mode sidecars carry no hash version.
+digest, so a sidecar never seeds a run of the other mode, and
+``registry.extend(*read_sidecar(path, mode)[:2])`` seeds a registry from
+one. SimHash values must never change, since near-mode sidecars carry
+no hash version.
 
 Only a near-mode probe at a threshold above 7 needs numpy, and imports
 it on first use: ``simhash`` counts its bit votes on plain ints, so
@@ -81,9 +83,6 @@ class Fingerprint:
         if not 0 <= self.bits < 1 << self.width:
             raise DataError(f"fingerprint out of range: {self.bits}")
 
-    def hamming(self, other: "Fingerprint") -> int:
-        return (self.bits ^ other.bits).bit_count()
-
     @property
     def hex(self) -> str:
         return f"{self.bits:0{self.width // 4}x}"
@@ -121,15 +120,16 @@ def content_digest(text: str) -> int:
     return int.from_bytes(blake2b(content, digest_size=16).digest(), "big")
 
 
-def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
-    """Fingerprint of the text's whitespace-free character shingles.
+def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> int:
+    """Near mode's key: the 64-bit SimHash of the text's whitespace-free
+    character shingles.
 
-    Whitespace-only text maps to the zero fingerprint. Text shorter than
-    the shingle width is hashed as one shingle.
+    Whitespace-only text maps to 0. Text shorter than the shingle width
+    is hashed as one shingle.
     """
     content = "".join(text.split())
     if not content:
-        return Fingerprint(0)
+        return 0
     w = cfg.shingle_width
     n = max(len(content) - w + 1, 1)
     digests = []
@@ -137,7 +137,7 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> Fingerprint:
         h = _HASHER.copy()
         h.update(content[i : i + w].encode("utf-8"))
         digests.append(h.digest())
-    return Fingerprint(_bit_vote(b"".join(digests), n))
+    return _bit_vote(b"".join(digests), n)
 
 
 def _bit_vote(joined: bytes, n: int) -> int:
@@ -200,10 +200,8 @@ class DedupRegistry:
         self.cfg = cfg
         # Key -> id of the first document added with it, in insertion order.
         self._first: dict[int, str] = {}
-        # Near mode above threshold 0: entry i is the i-th distinct
-        # fingerprint added, and its id.
+        # Near mode above threshold 0: entry i is the i-th distinct key added.
         self._near = cfg.mode == "near" and cfg.hamming_threshold > 0
-        self._ids: list[str] = []
         self._bits = array("Q")
         # The pigeonhole index, at thresholds 1-7: per block, its shift and
         # mask and a dict from a block value to an entry index or an
@@ -218,10 +216,10 @@ class DedupRegistry:
         An equal key wins over an earlier entry within the threshold.
         """
         hit = self._first.get(key)
-        if hit is not None or not self._ids:
+        if hit is not None or not self._bits:
             return hit
         i = self._indexed_probe(key) if self._index else self._scan(key)
-        return None if i is None else self._ids[i]
+        return None if i is None else self._first[self._bits[i]]
 
     def _indexed_probe(self, key: int) -> int | None:
         """The smallest entry within the threshold, from the index."""
@@ -257,7 +255,7 @@ class DedupRegistry:
             return
         self._first[key] = doc_id
         if self._near:
-            self._append([key], [doc_id])
+            self._append([key])
 
     def extend(self, ids: list[str], keys: list[int]) -> None:
         """``add`` each key with the id at its index, in one call: a key
@@ -266,17 +264,15 @@ class DedupRegistry:
         for key, doc_id in zip(keys, ids):
             self._first.setdefault(key, doc_id)
         if self._near:
-            added = list(islice(self._first.items(), start, None))
-            self._append([key for key, _ in added], [doc_id for _, doc_id in added])
+            self._append(list(islice(self._first, start, None)))
 
-    def _append(self, keys: list[int], ids: list[str]) -> None:
+    def _append(self, keys: list[int]) -> None:
         """Add entries for distinct keys not held yet, and index them
         block by block."""
-        start = len(self._ids)
+        start = len(self._bits)
         self._bits.extend(keys)
-        self._ids.extend(ids)
         # One int object per index, shared by every block's table.
-        indices = list(range(start, len(self._ids)))
+        indices = list(range(start, len(self._bits)))
         for shift, mask, table in self._index:
             for i, key in zip(indices, keys):
                 value = key >> shift & mask
@@ -301,11 +297,11 @@ class DedupRegistry:
 
 def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -> list[int]:
     """The registry key of each text: its content digest in exact mode,
-    which needs no pool, or its SimHash bits in near mode."""
+    which needs no pool, or its SimHash in near mode."""
     check_workers(workers)
     if cfg.mode == "exact":
         return [content_digest(t) for t in texts]
-    return [fp.bits for fp in pmap(partial(simhash, cfg=cfg), texts, workers)]
+    return pmap(partial(simhash, cfg=cfg), texts, workers)
 
 
 def dedup_documents(
@@ -313,16 +309,16 @@ def dedup_documents(
     cfg: DedupConfig = DedupConfig(),
     group_by_source: bool = False,
     registry: DedupRegistry | None = None,
-    stage: str = "dedup_overall",
     workers: int | None = 1,
     keys: list[int] | None = None,
 ) -> tuple[Corpus, StageReport]:
     """Drop documents whose key was already seen (see ``document_keys``).
 
     With ``group_by_source`` each source gets its own registry, so only
-    same-source copies are dropped. A shared ``registry`` carries seen
-    keys in (and accumulates the kept ones). ``keys``, one per document
-    in corpus order, skips keying when the caller already has them.
+    same-source copies are dropped (stage ``dedup_per_source``, else
+    ``dedup_overall``). A shared ``registry`` carries seen keys in (and
+    accumulates the kept ones). ``keys``, one per document in corpus
+    order, skips keying when the caller already has them.
     A dropped document whose content is empty is a ``dup_doc_empty``.
     """
     if group_by_source and registry is not None:
@@ -350,7 +346,7 @@ def dedup_documents(
                 report.record_drop(doc.id, reason, kept_id=hit)
         return Corpus(kept)
 
-    return run_stage(stage, corpus, step)
+    return run_stage("dedup_per_source" if group_by_source else "dedup_overall", corpus, step)
 
 
 def dedup_lines(doc: Document) -> Document:
@@ -413,24 +409,22 @@ def dedup_pass(
     def step(report: StageReport) -> Corpus:
         out = corpus
         texts = [dedup_lines(d).text if cfg.lines else d.text for d in corpus]
-        # Keyed by object, not id: ids need not be unique here.
-        text_of = dict(zip(map(id, corpus), texts))
         if cfg.per_source or cfg.overall:
-            key_of = dict(zip(map(id, corpus), document_keys(texts, cfg, workers)))
+            keys = document_keys(texts, cfg, workers)
+        # Keyed by object, not id: ids need not be unique here.
+        position = {id(d): i for i, d in enumerate(corpus)}
+
+        def at(values: list, docs: Corpus) -> list:
+            return [values[position[id(d)]] for d in docs]
+
         if cfg.per_source:
-            out, sub = dedup_documents(
-                out, cfg, group_by_source=True, stage="dedup_per_source",
-                keys=[key_of[id(d)] for d in out],
-            )
+            out, sub = dedup_documents(out, cfg, group_by_source=True, keys=at(keys, out))
             report.sub_reports.append(sub)
         if cfg.overall:
-            out, sub = dedup_documents(
-                out, cfg, registry=registry, stage="dedup_overall",
-                keys=[key_of[id(d)] for d in out],
-            )
+            out, sub = dedup_documents(out, cfg, registry=registry, keys=at(keys, out))
             report.sub_reports.append(sub)
         if cfg.lines:
-            out, sub = dedup_corpus_lines(out, texts=[text_of[id(d)] for d in out])
+            out, sub = dedup_corpus_lines(out, texts=at(texts, out))
             report.sub_reports.append(sub)
         for sub in report.sub_reports:
             for reason, n in sub.drop_reasons.items():
@@ -497,17 +491,3 @@ def read_fingerprints(
     """The (id, fingerprint) pairs of a sidecar, read by ``read_sidecar``."""
     ids, keys, width = read_sidecar(path, mode)
     return [(doc_id, Fingerprint(key, width)) for doc_id, key in zip(ids, keys)]
-
-
-def seed_registry(
-    pairs: list[tuple[str, Fingerprint]], cfg: DedupConfig = DedupConfig()
-) -> DedupRegistry:
-    """A registry holding ``pairs``, whose keys must be ``cfg.mode``'s."""
-    for doc_id, fp in pairs:
-        if fp.width != cfg.key_bits:
-            raise DataError(
-                f"the {fp.width}-bit key of {doc_id!r} cannot seed a {cfg.mode}-mode registry"
-            )
-    reg = DedupRegistry(cfg)
-    reg.extend([doc_id for doc_id, _ in pairs], [fp.bits for _, fp in pairs])
-    return reg

@@ -321,7 +321,7 @@ def _mixed_fixture(rng: random.Random):
         docs.append(Document(id=f"dupcross{i:02d}", source="news", text=" " + base.text))
         planted["dup"].add(f"dupcross{i:02d}")
 
-    fps = [simhash(d.text).bits for d in clean]
+    fps = [simhash(d.text) for d in clean]
     assert len(set(fps)) == len(fps), "fixture needs collision-free clean docs"
     return docs, planted
 

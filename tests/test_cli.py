@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import os
@@ -12,11 +13,14 @@ import pytest
 from corpusforge import cli, dedup, mteval
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
-from corpusforge.dedup import DedupConfig, Fingerprint, dedup_pass, read_fingerprints, simhash
+from corpusforge.dedup import (
+    DedupConfig, Fingerprint, dedup_pass, read_fingerprints, read_sidecar, simhash,
+)
 from corpusforge.langid import LangFilterConfig, filter_language
 from corpusforge.mteval import corpus_bleu
 from corpusforge.normalize import SplitConfig, split_corpus, standardize_corpus
-from corpusforge.quality import default_stopwords, filter_quality, scrub_corpus_pii
+from corpusforge.pipeline import read_config
+from corpusforge.quality import default_stopwords, filter_quality, load_wordlist, scrub_corpus_pii
 
 STOP = "کا کی کے کو نے سے پر ہے ہیں اور".split()
 CONTENT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت".split()
@@ -326,7 +330,7 @@ def test_fps_out_hex_width_follows_the_mode_and_round_trips(tmp_path: Path, mode
     lines = fps.read_text(encoding="utf-8").splitlines()
     assert [line.split("\t")[0] for line in lines] == ["a0", "a1", "a2"]
     assert all(len(line.split("\t")[1]) == digits for line in lines)
-    oracle = _digest if mode == "exact" else simhash
+    oracle = _digest if mode == "exact" else lambda text: Fingerprint(simhash(text))
     assert read_fingerprints(fps) == [(d.id, oracle(d.text)) for d in docs]
     # A re-spaced copy of the batch is dropped against the sidecar.
     again = [Document(id=f"b{i}", source="t", text=d.text.replace(" ", "\t ")) for i, d in enumerate(docs)]
@@ -361,8 +365,8 @@ def test_fps_in_seeds_without_building_fingerprints(tmp_path: Path, monkeypatch,
     second = _write(tmp_path / "second.jsonl", [*again, Document(id="n", source="t", text=_letters(9))])
     assert _forge("dedup", "--mode", mode, "--in", str(second), "--out", str(out), "--fps-in", str(fps)) == 0
     assert [d.id for d in read_jsonl(out)] == ["n"]
-    # Only near mode's SimHash of each input document builds one.
-    assert len(built) == (5 if mode == "near" else 0)
+    # Keys are plain ints: only writing or reading pairs builds one.
+    assert built == []
 
 
 def test_dedup_near_mode_flags(tmp_path: Path):
@@ -809,6 +813,37 @@ def test_crlf_files_read_like_their_lf_copies(tmp_path: Path, capsys):
         assert _forge("bleu", "--refs", str(d / "refs.txt"), "--hyp", str(d / "h.txt")) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+_BOM_INPUTS = {
+    "references": "ایک دو تین چار\nپانچ چھے سات آٹھ\n",
+    "wordlist": "the\nکا\n# a comment\n",
+    "sidecar": "d0\t80dc12471108b3a7\nd1\t0123456789abcdef\n",
+    "config": '{"workers": 1, "dedup": {"mode": "near"}}\n',
+}
+
+
+@pytest.mark.parametrize("kind", _BOM_INPUTS)
+def test_a_bom_file_reads_like_its_bom_free_copy(tmp_path: Path, capsys, kind):
+    text = _BOM_INPUTS[kind].encode("utf-8")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_bytes(text)
+
+    def read(path: Path):
+        if kind == "references":
+            assert _forge("bleu", "--refs", str(path), "--hyp", str(hyp)) == 0
+            return capsys.readouterr().out
+        reader = {"wordlist": load_wordlist, "sidecar": read_sidecar, "config": read_config}[kind]
+        return reader(path)
+
+    # One file name: the references' name is in the bleu output.
+    plain, bom = tmp_path / "plain" / "input", tmp_path / "bom" / "input"
+    for path, data in ((plain, text), (bom, codecs.BOM_UTF8 + text)):
+        path.parent.mkdir()
+        path.write_bytes(data)
+    assert read(bom) == read(plain)
+    if kind == "references":
+        assert "100.00" in read(bom)
 
 
 def _manifest(tmp_path: Path) -> Path:

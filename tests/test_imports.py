@@ -173,7 +173,7 @@ def test_dedup_falls_back_to_hashlib_without_the_builtin_blake2(tmp_path: Path):
         "from corpusforge.dedup import content_digest, simhash\n"
         "text = sys.argv[1]\n"
         "print(json.dumps({'digest': f'{content_digest(text):032x}',\n"
-        "                  'simhash': simhash(text).hex, 'calls': len(calls)}))\n",
+        "                  'simhash': f'{simhash(text):016x}', 'calls': len(calls)}))\n",
         TEXT,
         cwd=tmp_path,
     )
