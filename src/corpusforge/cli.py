@@ -19,10 +19,12 @@ happens inside the tool so quoting works the same on every shell, and
 matches are sorted for determinism.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error.
-Logging goes to stderr; FORGE_LOG selects error, info, or debug. Output
-files are written to temporary names and renamed only when the command
-succeeds, so a failed run leaves no partial outputs; two outputs may not
-share a path. ``--out -`` streams JSONL to stdout instead.
+Logging goes to stderr; FORGE_LOG selects error, info, or debug.
+OPENBLAS_NUM_THREADS defaults to 1 (see ``main``); a value the caller
+sets is kept. Output files are written to temporary names and renamed
+only when the command succeeds, so a failed run leaves no partial
+outputs; two outputs may not share a path. ``--out -`` streams JSONL to
+stdout instead.
 """
 
 from __future__ import annotations
@@ -417,6 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # forge calls no BLAS routine, but OpenBLAS starts its thread pool when
+    # numpy loads, and the idle workers spin on CPU. Set here, before any
+    # numpy import, so a caller's value is kept and library use is untouched.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     staged = _StagedOutputs()
     try:
         _setup_logging()
