@@ -40,7 +40,8 @@ def _python(code: str, *args: str, cwd: Path, openblas_threads: str | None = Non
     """Run ``code`` in a fresh interpreter; it prints one JSON object last.
 
     The child gets OPENBLAS_NUM_THREADS only if ``openblas_threads`` is
-    given: a ``main()`` call made earlier in this process has set it here.
+    given, since an in-process ``main()`` call earlier in the test session
+    has set it in this process.
     """
     # The child runs in ``cwd``, where a relative PYTHONPATH no longer
     # resolves; put the root of the package under test in front.
@@ -169,8 +170,8 @@ def test_near_mode_loads_numpy_only_once_a_probe_scans(tmp_path: Path, threshold
     )
     assert out["code"] == 0
     assert out["loaded"] == (["numpy"] if scans else [])
-    # At the parent of the default this read None, and 2 threads at
-    # threshold 8 on a host of two or more cores.
+    # Without forge's OPENBLAS_NUM_THREADS default this reads None, and 2
+    # threads at threshold 8 on a host of two or more cores.
     assert out["threads"] == ONE_THREAD
     # Keying loads none; one probe loads it, and never a probe of an
     # empty registry, which has nothing to scan.
@@ -247,7 +248,7 @@ _FORGE = (
 )
 
 
-def _bleu_files(tmp_path: Path) -> None:
+def test_bleu_and_compare_score_the_same_bytes(tmp_path: Path):
     for name, text in (("refs.txt", _REFS), ("a.txt", _HYP_A), ("b.txt", _HYP_B)):
         (tmp_path / name).write_text(text, encoding="utf-8")
     manifest = {
@@ -259,12 +260,8 @@ def _bleu_files(tmp_path: Path) -> None:
     }
     (tmp_path / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
 
-
-def test_bleu_and_compare_score_the_same_bytes(tmp_path: Path):
-    _bleu_files(tmp_path)
-    # ONE_THREAD fails at the parent of the OPENBLAS_NUM_THREADS default:
-    # the variable read None there, and the count 2 on a host of two or
-    # more cores.
+    # Without forge's OPENBLAS_NUM_THREADS default the variable reads None
+    # here, and the count 2 on a host of two or more cores.
     bleu = _python(_FORGE, "bleu", "--refs", "refs.txt", "--hyp", "a=a.txt", "--hyp", "b.txt",
                    "--format", "json", cwd=tmp_path)
     assert bleu == {"code": 0, "stdout": _BLEU_JSON, "loaded": ["numpy"], "threads": ONE_THREAD}
@@ -273,14 +270,9 @@ def test_bleu_and_compare_score_the_same_bytes(tmp_path: Path):
     assert compare == {"code": 0, "stdout": _COMPARE_TABLE, "loaded": ["numpy"],
                        "threads": ONE_THREAD}
 
-
-def test_a_callers_openblas_thread_count_is_kept(tmp_path: Path):
-    _bleu_files(tmp_path)
-    compare = _python(_FORGE, "compare", "--manifest", "m.json", cwd=tmp_path,
-                      openblas_threads="2")
-    assert compare["code"] == 0
-    assert compare["stdout"] == _COMPARE_TABLE
-    assert compare["threads"][0] == "2"
+    # A value the caller sets is kept, and the bytes out are the same.
+    kept = _python(_FORGE, "compare", "--manifest", "m.json", cwd=tmp_path, openblas_threads="2")
+    assert (kept["code"], kept["stdout"], kept["threads"][0]) == (0, _COMPARE_TABLE, "2")
 
 
 def test_library_use_leaves_openblas_thread_count_unset(tmp_path: Path):
