@@ -11,8 +11,8 @@ import random
 import tempfile
 from pathlib import Path
 
-from corpusforge import Corpus, DedupConfig, Document, simhash
-from corpusforge.dedup import DedupRegistry, dedup_documents, read_sidecar, write_fingerprints
+from corpusforge import Corpus, DedupConfig, Document, dedup_pass, simhash
+from corpusforge.dedup import DedupRegistry, read_sidecar, write_fingerprints
 
 ALPHABET = "ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے"
 rng = random.Random(20250825)
@@ -50,7 +50,7 @@ corpus = Corpus(
     ]
 )
 for cfg in (DedupConfig(mode="exact"), DedupConfig(mode="near", hamming_threshold=6)):
-    kept, report = dedup_documents(corpus, cfg)
+    kept, report = dedup_pass(corpus, cfg)
     survivors = [d.id for d in kept]
     print(f"{cfg.mode:5s} mode keeps {survivors}")
     for d in report.drop_details:
@@ -63,7 +63,7 @@ with tempfile.TemporaryDirectory() as tmp:
     sidecar = Path(tmp) / "batch1.fps"
     batch1 = Corpus([Document(id="b1-0", source="s", text=base)])
     registry = DedupRegistry(DedupConfig())
-    dedup_documents(batch1, DedupConfig(), registry=registry)
+    dedup_pass(batch1, DedupConfig(), registry=registry)
     write_fingerprints(sidecar, registry.pairs())
     print(f"\nsidecar line: {sidecar.read_text().strip()}")
 
@@ -76,7 +76,7 @@ with tempfile.TemporaryDirectory() as tmp:
             Document(id="b2-new", source="s", text=random_doc()),
         ]
     )
-    kept, report = dedup_documents(batch2, DedupConfig(), registry=registry)
+    kept, report = dedup_pass(batch2, DedupConfig(), registry=registry)
     print(f"batch two keeps {[d.id for d in kept]}")
     for d in report.drop_details:
         print(f"  dropped {d.doc_id}: duplicate of earlier {d.kept_id}")

@@ -49,7 +49,7 @@ from .dedup import (  # noqa: F401
 )
 from .errors import ConfigError, DataError, ForgeError
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
-from .pipeline import PipelineConfig, read_config, run_pipeline
+from .pipeline import PipelineConfig, _resolve, read_config, run_pipeline
 from .report import PipelineReport, render_report, stage_summary
 
 log = logging.getLogger("forge")
@@ -240,11 +240,6 @@ def _load_manifest(path: str) -> tuple[list[tuple[str, Path, dict[str, Path]]], 
         raise ConfigError(f"manifest smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
 
     base = Path(path).parent
-
-    def resolve(p) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else base / q
-
     entries, names = [], set()
     types = {"name": str, "refs_path": str, "systems": dict}
     for i, entry in enumerate(data["sets"]):
@@ -259,8 +254,8 @@ def _load_manifest(path: str) -> tuple[list[tuple[str, Path, dict[str, Path]]], 
         check_object(systems, f"{what}.systems", dict.fromkeys(systems, str))
         if not systems:
             raise ConfigError(f"manifest set {name!r} defines no systems")
-        paths = {system: resolve(p) for system, p in systems.items()}
-        entries.append((name, resolve(refs_path), paths))
+        paths = {system: _resolve(p, base) for system, p in systems.items()}
+        entries.append((name, _resolve(refs_path, base), paths))
     if not entries:
         raise ConfigError(f"manifest {path} defines no sets")
     return entries, smoothing

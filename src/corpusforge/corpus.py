@@ -196,19 +196,25 @@ class Corpus:
             seen.add(d.id)
 
 
-def iter_jsonl(path: str | Path, source_default: str | None = None) -> Iterator[Document]:
+def iter_jsonl(
+    path: str | Path, source_default: str | None = None,
+    seen: dict[str, tuple[Path, int]] | None = None,
+) -> Iterator[Document]:
     """Stream Documents from a JSONL file in file order.
 
     Each line must be a JSON object with string fields "id" and "text";
     "source" and "meta" are optional. A leading UTF-8 BOM is stripped,
     blank lines are skipped, and unpaired surrogates are removed from the
     text. Malformed lines raise CorpusError with the line number and byte
-    offset; a repeated id raises CorpusError naming both lines.
+    offset; a repeated id raises CorpusError naming both lines. ``seen``
+    maps each id already read to its file and line: one dict passed for
+    several files checks ids across them all.
     """
     path = Path(path)
     if source_default is None:
         source_default = path.stem
-    seen: dict[str, int] = {}
+    if seen is None:
+        seen = {}
     offset = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -233,11 +239,17 @@ def iter_jsonl(path: str | Path, source_default: str | None = None) -> Iterator[
                 )
             doc = _doc_from_record(obj, path, lineno, source_default)
             if doc.id in seen:
+                first_path, first = seen[doc.id]
+                # By identity: a file given twice is read as two inputs.
+                if first_path is path:
+                    raise CorpusError(
+                        f"{path}: duplicate id {doc.id!r} on lines {first} and {lineno}"
+                    )
                 raise CorpusError(
-                    f"{path}: duplicate id {doc.id!r} on lines "
-                    f"{seen[doc.id]} and {lineno}"
+                    f"duplicate id {doc.id!r} on {first_path}: line {first} "
+                    f"and {path}: line {lineno}"
                 )
-            seen[doc.id] = lineno
+            seen[doc.id] = (path, lineno)
             yield doc
 
 
@@ -261,9 +273,12 @@ def _doc_from_record(obj: dict, path: Path, lineno: int, source_default: str) ->
     return Document(id=doc_id, source=source, text=text, meta=dict(meta))
 
 
-def read_jsonl(path: str | Path, source_default: str | None = None) -> Corpus:
+def read_jsonl(
+    path: str | Path, source_default: str | None = None,
+    seen: dict[str, tuple[Path, int]] | None = None,
+) -> Corpus:
     """Load a whole JSONL file into a Corpus (see ``iter_jsonl``)."""
-    return Corpus(list(iter_jsonl(path, source_default)))
+    return Corpus(list(iter_jsonl(path, source_default, seen)))
 
 
 def _record(doc: Document) -> dict:

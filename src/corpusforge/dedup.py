@@ -13,11 +13,12 @@ a pigeonhole index of fingerprint blocks (see ``DedupRegistry``); above
 7 it compares the fingerprint with every kept one in a single numpy
 popcount pass. The first document in input order always wins.
 
-Duplicates are removed in three passes, each switched by a field of
-``DedupConfig``: within each source, across the whole corpus, then
-repeated lines inside each document. Each document is line-deduped once
-and keyed once, from its line-deduped text (the text that is written);
-both document passes share the keys and the line pass reuses the texts.
+``dedup_pass`` removes duplicates in three passes, each switched by a
+field of ``DedupConfig``: within each source, across the whole corpus,
+then repeated lines inside each document. Each document is line-deduped
+once and keyed once, from its line-deduped text (the text that is
+written); both document passes share the keys and the line pass reuses
+the texts.
 Blank lines survive line dedup, since they mark paragraph breaks. The
 corpus-wide pass's registry can be saved to a sidecar file and reloaded
 to dedup new data against an existing collection. A sidecar line is
@@ -298,7 +299,6 @@ class DedupRegistry:
 def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -> list[int]:
     """The registry key of each text: its content digest in exact mode,
     which needs no pool, or its SimHash in near mode."""
-    check_workers(workers)
     if cfg.mode == "exact":
         return [content_digest(t) for t in texts]
     return pmap(partial(simhash, cfg=cfg), texts, workers)
@@ -306,36 +306,29 @@ def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -
 
 def dedup_documents(
     corpus: Corpus,
-    cfg: DedupConfig = DedupConfig(),
+    keys: list[int],
+    cfg: DedupConfig,
     group_by_source: bool = False,
     registry: DedupRegistry | None = None,
-    workers: int | None = 1,
-    keys: list[int] | None = None,
 ) -> tuple[Corpus, StageReport]:
-    """Drop documents whose key was already seen (see ``document_keys``).
+    """A document pass of ``dedup_pass``: drop each document whose key
+    (one per document, in corpus order) was already seen.
 
     With ``group_by_source`` each source gets its own registry, so only
-    same-source copies are dropped (stage ``dedup_per_source``, else
-    ``dedup_overall``). A shared ``registry`` carries seen keys in (and
-    accumulates the kept ones). ``keys``, one per document in corpus
-    order, skips keying when the caller already has them.
-    A dropped document whose content is empty is a ``dup_doc_empty``.
+    same-source copies are dropped (stage ``dedup_per_source``); else
+    ``registry``, if given, carries seen keys in and collects the kept
+    ones (stage ``dedup_overall``). A dropped document whose content is
+    empty is a ``dup_doc_empty``.
     """
-    if group_by_source and registry is not None:
-        raise ConfigError("group_by_source cannot use a shared registry")
-    check_workers(workers)
 
     def step(report: StageReport) -> Corpus:
-        doc_keys = keys
-        if doc_keys is None:
-            doc_keys = document_keys([d.text for d in corpus], cfg, workers)
         # One registry per source, built when the source first appears,
         # or one shared registry under the key None.
         registries: dict[str | None, DedupRegistry] = defaultdict(partial(DedupRegistry, cfg))
         if registry is not None:
             registries[None] = registry
         kept = []
-        for doc, key in zip(corpus, doc_keys):
+        for doc, key in zip(corpus, keys):
             reg = registries[doc.source if group_by_source else None]
             hit = reg.probe(key)
             if hit is None:
@@ -372,20 +365,10 @@ def dedup_lines(doc: Document) -> Document:
     return doc.with_text("\n".join(kept))
 
 
-def dedup_corpus_lines(
-    corpus: Corpus, texts: list[str] | None = None
-) -> tuple[Corpus, StageReport]:
-    """Remove repeated lines inside each document.
-
-    ``texts``, one line-deduped text per document in corpus order, skips
-    the line dedup when the caller already has them.
-    """
-
-    def step(report: StageReport) -> Corpus:
-        new = texts if texts is not None else (dedup_lines(d).text for d in corpus)
-        return rewrite_texts(report, corpus, new)
-
-    return run_stage("dedup_lines", corpus, step)
+def dedup_corpus_lines(corpus: Corpus, texts: list[str]) -> tuple[Corpus, StageReport]:
+    """The line pass of ``dedup_pass``: give each document its line-deduped
+    text (``texts``, one per document in corpus order)."""
+    return run_stage("dedup_lines", corpus, lambda report: rewrite_texts(report, corpus, texts))
 
 
 def dedup_pass(
@@ -418,13 +401,13 @@ def dedup_pass(
             return [values[position[id(d)]] for d in docs]
 
         if cfg.per_source:
-            out, sub = dedup_documents(out, cfg, group_by_source=True, keys=at(keys, out))
+            out, sub = dedup_documents(out, at(keys, out), cfg, group_by_source=True)
             report.sub_reports.append(sub)
         if cfg.overall:
-            out, sub = dedup_documents(out, cfg, registry=registry, keys=at(keys, out))
+            out, sub = dedup_documents(out, at(keys, out), cfg, registry=registry)
             report.sub_reports.append(sub)
         if cfg.lines:
-            out, sub = dedup_corpus_lines(out, texts=at(texts, out))
+            out, sub = dedup_corpus_lines(out, at(texts, out))
             report.sub_reports.append(sub)
         for sub in report.sub_reports:
             for reason, n in sub.drop_reasons.items():
@@ -443,7 +426,7 @@ def write_fingerprints(
     ``atomic_write``, which gets ``commit``)."""
     for doc_id, _ in pairs:
         # A reader splits lines on "\r" too (universal newlines).
-        if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
+        if not doc_id or "\t" in doc_id or "\n" in doc_id or "\r" in doc_id:
             raise DataError(f"document id {doc_id!r} cannot be stored in a sidecar")
     with atomic_write(path, commit) as fh:
         fh.writelines(f"{doc_id}\t{fp.hex}\n" for doc_id, fp in pairs)
@@ -454,10 +437,10 @@ def read_sidecar(
 ) -> tuple[list[str], list[int], int | None]:
     """The ids and plain int keys of a sidecar's lines, in file order, and
     the keys' width in bits (None when no ``mode`` is given and the sidecar
-    holds no key). A line must be an id, a tab and the 16 or 32 lower-case
-    hex digits that ``Fingerprint.hex`` writes. A sidecar holds the keys of
-    one dedup mode: every key must have the width of ``mode``'s keys, or
-    with no ``mode`` that of the first line's key."""
+    holds no key). A line must be a non-empty id, a tab and the 16 or 32
+    lower-case hex digits that ``Fingerprint.hex`` writes. A sidecar holds
+    the keys of one dedup mode: every key must have the width of ``mode``'s
+    keys, or with no ``mode`` that of the first line's key."""
     text = read_input(path, "fingerprints", DataError)
     width = None if mode is None else KEY_BITS[mode]
     ids: list[str] = []
@@ -467,7 +450,7 @@ def read_sidecar(
             continue
         doc_id, tab, digits = line.partition("\t")
         # A second tab is left in ``digits``, which then fails the strip.
-        if not tab or len(digits) not in (16, 32) or digits.strip("0123456789abcdef"):
+        if not (doc_id and tab) or len(digits) not in (16, 32) or digits.strip("0123456789abcdef"):
             raise DataError(
                 f"{path}:{lineno}: expected 'id<TAB>hex16' or 'id<TAB>hex32', got {line!r}"
             )

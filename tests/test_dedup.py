@@ -19,8 +19,6 @@ from corpusforge.dedup import (
     DedupRegistry,
     Fingerprint,
     content_digest,
-    dedup_corpus_lines,
-    dedup_documents,
     dedup_lines,
     dedup_pass,
     read_fingerprints,
@@ -29,6 +27,7 @@ from corpusforge.dedup import (
     write_fingerprints,
 )
 from corpusforge.errors import ConfigError, DataError
+from corpusforge.report import StageReport
 
 ALPHABET = "ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے"
 
@@ -262,9 +261,14 @@ def _corpus(texts, source="s"):
     return Corpus([Document(id=f"d{i}", source=source, text=t) for i, t in enumerate(texts)])
 
 
+def _overall(**kwargs) -> DedupConfig:
+    """The corpus-wide pass alone, keyed on the texts as given."""
+    return DedupConfig(per_source=False, lines=False, **kwargs)
+
+
 def test_exact_dedup_first_wins():
     corpus = _corpus(["ایک دو تین", "ایک  دو تین", "چار پانچ چھے"])
-    kept, report = dedup_documents(corpus, DedupConfig())
+    kept, report = dedup_pass(corpus, _overall())
     assert [d.id for d in kept] == ["d0", "d2"]
     assert report.drop_reasons == {REASON_DUP: 1}
     detail = report.drop_details[0]
@@ -272,7 +276,7 @@ def test_exact_dedup_first_wins():
 
 
 def test_empty_docs_collapse_to_one():
-    kept, report = dedup_documents(_corpus(["", "  ", "ایک"]), DedupConfig())
+    kept, report = dedup_pass(_corpus(["", "  ", "ایک"]), _overall())
     assert [d.id for d in kept] == ["d0", "d2"]
     assert report.drop_reasons == {REASON_DUP_EMPTY: 1}
 
@@ -291,8 +295,8 @@ def test_near_mode_catches_small_edits():
     else:
         pytest.fail("no near variant found")
     corpus = _corpus([base, variant])
-    kept_exact, _ = dedup_documents(corpus, DedupConfig(mode="exact"))
-    kept_near, rep = dedup_documents(corpus, DedupConfig(mode="near", hamming_threshold=3))
+    kept_exact, _ = dedup_pass(corpus, _overall(mode="exact"))
+    kept_near, rep = dedup_pass(corpus, _overall(mode="near", hamming_threshold=3))
     assert len(kept_exact) == 2
     assert [d.id for d in kept_near] == ["d0"]
     assert rep.drop_details[0].kept_id == "d0"
@@ -303,8 +307,8 @@ def test_near_mode_threshold_zero_matches_exact():
     digest, so in general near mode at threshold 0 also drops distinct
     contents whose SimHashes are equal (see the pinned pair below)."""
     corpus = _corpus(["ایک دو تین", "ایک دو  تین", "ایک دو تین چار"])
-    kept_exact, _ = dedup_documents(corpus, DedupConfig(mode="exact"))
-    kept_near, _ = dedup_documents(corpus, DedupConfig(mode="near", hamming_threshold=0))
+    kept_exact, _ = dedup_pass(corpus, _overall(mode="exact"))
+    kept_near, _ = dedup_pass(corpus, _overall(mode="near", hamming_threshold=0))
     assert [d.id for d in kept_exact] == [d.id for d in kept_near] == ["d0", "d2"]
 
 
@@ -337,10 +341,11 @@ def test_exact_mode_keeps_distinct_contents_with_equal_simhash():
 
 
 @pytest.mark.parametrize("mode", ["exact", "near"])
-def test_empty_dup_reason_comes_from_the_dropped_documents_content(mode):
+def test_empty_dup_reason_comes_from_the_dropped_documents_content(monkeypatch, mode):
     corpus = _corpus(["ا", "ب", "", " \n"])
-    # Equal keys given for all four: the reason is read off each text.
-    _, report = dedup_documents(corpus, DedupConfig(mode=mode), keys=[7, 7, 7, 7])
+    # Equal keys for all four: the reason is read off each text.
+    monkeypatch.setattr(dedup, "document_keys", lambda texts, cfg, workers: [7] * len(texts))
+    _, report = dedup_pass(corpus, _overall(mode=mode))
     assert [(d.doc_id, d.reason) for d in report.drop_details] == [
         ("d1", REASON_DUP), ("d2", REASON_DUP_EMPTY), ("d3", REASON_DUP_EMPTY)
     ]
@@ -348,8 +353,8 @@ def test_empty_dup_reason_comes_from_the_dropped_documents_content(mode):
 
 def test_dedup_idempotent():
     corpus = _corpus(["الف ب", "الف  ب", "ج د", ""])
-    once, _ = dedup_documents(corpus, DedupConfig())
-    twice, rep = dedup_documents(once, DedupConfig())
+    once, _ = dedup_pass(corpus, _overall())
+    twice, rep = dedup_pass(once, _overall())
     assert list(twice) == list(once)
     assert rep.docs_dropped == 0
 
@@ -374,10 +379,6 @@ def test_bad_workers_is_config_error_in_either_mode(mode, workers):
     corpus = _corpus(["ا ب ج", "ا ب ج"])
     with pytest.raises(ConfigError, match="workers"):
         dedup_pass(corpus, cfg, workers=workers)
-    with pytest.raises(ConfigError, match="workers"):
-        dedup_documents(corpus, cfg, workers=workers, keys=[1, 2])
-    with pytest.raises(ConfigError, match="workers"):
-        dedup.document_keys(["ا ب ج"], cfg, workers)
 
 
 # ----------------------------------------------------------------- line dedup
@@ -425,7 +426,8 @@ def test_line_dedup_first_occurrence_order(lines):
 
 def test_line_dedup_never_increases_tokens():
     docs = _corpus(["ایک دو\nایک دو\nتین", "a\nb"])
-    out, report = dedup_corpus_lines(docs)
+    out, dedup_report = dedup_pass(docs, DedupConfig(per_source=False, overall=False))
+    (report,) = dedup_report.sub_reports
     assert report.stage == "dedup_lines"
     assert report.tokens_out <= report.tokens_in
     assert report.counters["docs_changed"] == 1
@@ -554,31 +556,48 @@ def test_dedup_pass_drops_a_copy_that_differs_by_a_repeated_line(mode):
 
 
 def _reference_dedup_pass(corpus, cfg, registry, per_source, overall, lines):
-    """The enabled passes composed by hand: each document pass runs on the
-    line-deduped texts and fingerprints them on its own, and its token
-    totals are those of the original documents it saw; then line dedup
-    of the originals that survived."""
-    written = [dedup_lines(d) if lines else d for d in corpus]
-    original = {id(w): d for w, d in zip(written, corpus)}
+    """The enabled passes as plain loops over registries, with their
+    reports built by hand: each document is keyed once by content_digest
+    or simhash, from its line-deduped text when lines are on; per-source
+    registries, then ``registry``, drop each key seen before; the
+    survivors then get their line-deduped texts."""
+    written = [dedup_lines(d).text if lines else d.text for d in corpus]
+    keys = [content_digest(t) if cfg.mode == "exact" else simhash(t, cfg) for t in written]
+    alive, subs = list(range(len(corpus))), []
 
-    def originals(docs):
-        return Corpus([original[id(w)] for w in docs])
+    def tokens(indices):
+        return sum(corpus[i].token_count for i in indices)
 
-    out, subs = Corpus(written), []
+    shared = {None: registry if registry is not None else DedupRegistry(cfg)}
     passes = [
-        (per_source, {"group_by_source": True}),
-        (overall, {"registry": registry}),
+        (per_source, "dedup_per_source", lambda doc: doc.source, {}),
+        (overall, "dedup_overall", lambda doc: None, shared),
     ]
-    for enabled, kwargs in passes:
-        if enabled:
-            tokens_in = originals(out).total_tokens
-            out, sub = dedup_documents(out, cfg, **kwargs)
-            sub.tokens_in, sub.tokens_out = tokens_in, originals(out).total_tokens
-            subs.append(sub)
-    out = originals(out)
-    if lines:
-        out, sub = dedup_corpus_lines(out)
+    for enabled, stage, scope_of, registries in passes:
+        if not enabled:
+            continue
+        sub = StageReport(stage, docs_in=len(alive), tokens_in=tokens(alive))
+        survivors = []
+        for i in alive:
+            doc = corpus[i]
+            reg = registries.setdefault(scope_of(doc), DedupRegistry(cfg))
+            hit = reg.probe(keys[i])
+            if hit is None:
+                reg.add(keys[i], doc.id)
+                survivors.append(i)
+            else:
+                sub.record_drop(doc.id, REASON_DUP if doc.text.strip() else REASON_DUP_EMPTY, hit)
+        alive = survivors
+        sub.docs_out, sub.tokens_out = len(alive), tokens(alive)
         subs.append(sub)
+    out = Corpus([corpus[i] if written[i] == corpus[i].text else corpus[i].with_text(written[i])
+                  for i in alive])
+    if lines:
+        changed = sum(written[i] != corpus[i].text for i in alive)
+        subs.append(StageReport(
+            "dedup_lines", docs_in=len(alive), docs_out=len(alive), tokens_in=tokens(alive),
+            tokens_out=out.total_tokens, counters={"docs_changed": changed},
+        ))
     return out, subs
 
 
@@ -908,11 +927,11 @@ def test_dedup_documents_builds_one_registry_per_source(monkeypatch, mode):
         Document(id=f"d{i}", source=src, text=f"{src} {i % 2}")
         for i, src in enumerate(["web", "news", "web", "books", "web", "news", "news"])
     ]
-    kept, _ = dedup_documents(Corpus(docs), DedupConfig(mode=mode), group_by_source=True)
+    kept, _ = dedup_pass(Corpus(docs), DedupConfig(mode=mode, overall=False, lines=False))
     assert len(built) == 3
     assert [d.id for d in kept] == ["d0", "d1", "d3", "d6"]
     built.clear()
-    dedup_documents(Corpus(docs), DedupConfig(mode=mode))
+    dedup_pass(Corpus(docs), _overall(mode=mode))
     assert len(built) == 1
 
 
@@ -946,7 +965,7 @@ def test_fingerprint_file_of_the_other_mode_names_its_line(tmp_path: Path, mode,
 
 
 def test_fingerprint_file_rejects_bad_ids(tmp_path: Path):
-    for bad in ("a\tb", "a\nb", "a\rb"):
+    for bad in ("a\tb", "a\nb", "a\rb", ""):
         for pairs in ([(bad, Fingerprint(1))], [("ok", Fingerprint(2)), (bad, Fingerprint(1))]):
             with pytest.raises(DataError):
                 write_fingerprints(tmp_path / "x.fps", pairs)
@@ -965,7 +984,8 @@ def test_fingerprint_file_bad_line_names_location(tmp_path: Path):
                 "a1\t80dc12471108b3a7\tx", "a1\t80dc12471108b3a7 ", "a1\txyz",
                 "a1\t80DC12471108B3A7", "a1\t0x80dc12471108b3a7", "a1\t80dc_12471108b3a7",
                 "a1\t080dc12471108b3a7", "a1\t0x80dc12471108b3a70123456789abcd",
-                "a1\t+80dc12471108b3a70123456789abc", "a1\t", "a1", "\t80dc12471108b3a7\t"):
+                "a1\t+80dc12471108b3a70123456789abc", "a1\t", "a1", "\t80dc12471108b3a7\t",
+                "\t80dc12471108b3a7"):
         p.write_text(f"a0\t80dc12471108b3a7\n{bad}\n", encoding="utf-8")
         with pytest.raises(DataError, match="bad.fps:2"):
             read_fingerprints(p)
@@ -984,7 +1004,7 @@ def test_seeded_registry_drops_previously_seen(tmp_path: Path, mode):
     old = _corpus(["پرانا متن ایک", "پرانا متن دو"], source="old")
     p = tmp_path / "old.fps"
     seen = DedupRegistry(cfg)
-    dedup_documents(old, cfg, registry=seen)
+    dedup_pass(old, cfg, registry=seen)
     write_fingerprints(p, seen.pairs())
     assert seen.pairs() == [(d.id, _key(d.text, cfg)) for d in old]
 
@@ -996,7 +1016,7 @@ def test_seeded_registry_drops_previously_seen(tmp_path: Path, mode):
             Document(id="n1", source="new", text="نیا متن"),
         ]
     )
-    kept, report = dedup_documents(new, cfg, registry=registry)
+    kept, report = dedup_pass(new, cfg, registry=registry)
     assert [d.id for d in kept] == ["n1"]
     assert report.drop_details[0].kept_id == "d0"
 

@@ -2,27 +2,20 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import corpusforge
+from conftest import child_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo: Path, tmp_path: Path):
-    # The child runs in tmp_path, where a relative PYTHONPATH (e.g. `src`)
-    # no longer resolves; put the root of the package under test in front.
-    pythonpath = [str(Path(corpusforge.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, str(demo)], cwd=tmp_path, env=child_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-import corpusforge
+from conftest import child_env
 from corpusforge.corpus import Corpus, Document, write_jsonl
 
 TEXT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت کا کی کے کو نے"
@@ -43,13 +43,8 @@ def _python(code: str, *args: str, cwd: Path, openblas_threads: str | None = Non
     given, since an in-process ``main()`` call earlier in the test session
     has set it in this process.
     """
-    # The child runs in ``cwd``, where a relative PYTHONPATH no longer
-    # resolves; put the root of the package under test in front.
-    pythonpath = [str(Path(corpusforge.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env.update(PYTHONPATH=os.pathsep.join(pythonpath), FORGE_LOG="error")
+    env = child_env(FORGE_LOG="error")
+    env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,

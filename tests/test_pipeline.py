@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -108,9 +109,13 @@ def test_ingest_multiple_files(tmp_path: Path):
 
 def test_ingest_rejects_cross_file_id_clash(tmp_path: Path):
     p1 = _write(tmp_path, "a.jsonl", [Document(id="x", source="s", text="ایک")])
-    p2 = _write(tmp_path, "b.jsonl", [Document(id="x", source="s", text="دو")])
-    with pytest.raises(CorpusError):
-        ingest([p1, p2])
+    p2 = _write(tmp_path, "b.jsonl", [Document(id=i, source="s", text="دو") for i in "yx"])
+    # Both files and both lines are named, as for a repeat inside one file;
+    # a file given twice is two inputs.
+    for first, second, line in ((p1, p2, 2), (p1, p1, 1)):
+        where = f"{re.escape(str(first))}: line 1 and {re.escape(str(second))}: line {line}"
+        with pytest.raises(CorpusError, match=f"duplicate id 'x' on {where}"):
+            ingest([first, second])
 
 
 def test_empty_corpus_flows_through():

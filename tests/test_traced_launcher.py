@@ -8,16 +8,15 @@ the launcher in a fresh interpreter, as the benchmark does.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import corpusforge
+from conftest import child_env
 from corpusforge.corpus import Corpus, Document, write_jsonl
-from corpusforge.dedup import DedupConfig, DedupRegistry, dedup_documents, write_fingerprints
+from corpusforge.dedup import DedupConfig, DedupRegistry, dedup_pass, write_fingerprints
 
 LAUNCHER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,17 +38,11 @@ def test_traced_launcher_runs_forge(tmp_path: Path, command: str):
     for mode in ("exact", "near"):
         cfg = DedupConfig(mode=mode)
         registry = DedupRegistry(cfg)
-        dedup_documents(Corpus(docs[:1]), cfg, registry=registry)
+        dedup_pass(Corpus(docs[:1]), cfg, registry=registry)
         write_fingerprints(tmp_path / f"{mode}.fps", registry.pairs())
-    # The child runs in tmp_path, where a relative PYTHONPATH no longer
-    # resolves; put the root of the package under test in front.
-    pythonpath = [str(Path(corpusforge.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath), FORGE_LOG="error")
     proc = subprocess.run(
         [sys.executable, str(LAUNCHER), "spans.json", *COMMANDS[command]],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
+        cwd=tmp_path, env=child_env(FORGE_LOG="error"), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
