@@ -2,9 +2,14 @@
 
 Shows what the 64-bit near-mode fingerprints look like (plain ints, like
 every dedup key), how whitespace edits and single-character edits move
-them, and how a sidecar of the
-keys a run kept lets a later batch dedup against an earlier one without
-re-reading it.
+them, and how a sidecar of the keys a run kept lets a later batch dedup
+against an earlier one without re-reading it.
+
+A near-mode fingerprint is a SimHash over character 4-shingles, each
+hashed by simple tabulation from a per-character table. Its values
+changed when tabulation replaced a keyed blake2b per shingle, and a
+sidecar names no hash version, so a near-mode sidecar written before
+that must be regenerated. Exact-mode keys did not change.
 """
 
 import random

@@ -3,15 +3,17 @@
 Both modes key each document on a plain int. Exact mode's is a 128-bit
 blake2b of its content with every whitespace character removed, so
 re-wrapped or re-spaced copies collide and documents whose content
-differs never do. Near mode's is a 64-bit SimHash of the same content's
-character 4-shingles: each shingle is hashed with a keyed 8-byte
-blake2b, and a bit is set when most shingle hashes set it. Near mode drops
-fingerprint-equal documents and documents within a small Hamming
-distance; a probe that misses the equal lookup takes the earliest kept
-fingerprint within the threshold. At thresholds 1-7 it finds it through
-a pigeonhole index of fingerprint blocks (see ``DedupRegistry``); above
-7 it compares the fingerprint with every kept one in a single numpy
-popcount pass. The first document in input order always wins.
+differs never do. Near mode's is a 64-bit SimHash (Charikar, STOC 2002)
+of the same content's character 4-shingles, each hashed by simple
+tabulation (Patrascu & Thorup, JACM 2012): every character maps to 8
+bytes from a keyed blake2b, a shingle's hash XORs its characters' bytes,
+each rotated by its position, and a bit is set when most shingle hashes
+set it. Near mode drops fingerprint-equal documents and documents within
+a small Hamming distance; a probe that misses the equal lookup takes the
+earliest kept fingerprint within the threshold. At thresholds 1-7 it
+finds it through a pigeonhole index of fingerprint blocks (see
+``DedupRegistry``); above 7 it compares the fingerprint with every kept
+one in a single numpy popcount pass. The first document in input order always wins.
 
 ``dedup_pass`` removes duplicates in three passes, each switched by a
 field of ``DedupConfig``: within each source, across the whole corpus,
@@ -25,8 +27,10 @@ to dedup new data against an existing collection. A sidecar line is
 ``id<TAB>hex``: 16 hex digits hold a near-mode SimHash, 32 an exact-mode
 digest, so a sidecar never seeds a run of the other mode, and
 ``registry.extend(*read_sidecar(path, mode)[:2])`` seeds a registry from
-one. SimHash values must never change, since near-mode sidecars carry
-no hash version.
+one. A sidecar names no hash version, so nothing tells a near-mode
+sidecar written by an earlier SimHash (a keyed blake2b per shingle) from
+a current one: such a sidecar loads and then mis-dedups, and must be
+regenerated. Exact-mode digests have not changed.
 
 Only a near-mode probe at a threshold above 7 needs numpy, and imports
 it on first use: ``simhash`` counts its bit votes on plain ints, so
@@ -61,10 +65,10 @@ from .report import StageReport, rewrite_texts, run_stage
 REASON_DUP = "dup_doc"
 REASON_DUP_EMPTY = "dup_doc_empty"
 
-# Part of the fingerprint function, so sidecars depend on it.
-_HASH_KEY = b"simhash-v1"
-# Keyed once; each shingle hashes a copy, which skips re-keying.
-_HASHER = blake2b(digest_size=8, key=_HASH_KEY)
+# The left rotation of a shingle's j-th character: distinct for j < 64,
+# since 13 is odd, so a shingle's hash depends on its characters' order.
+_ROTATIONS = [13 * j % 64 for j in range(64)]
+MAX_SHINGLE_WIDTH = len(_ROTATIONS)
 # The key width of each mode: a content digest, or a SimHash.
 KEY_BITS = {"exact": 128, "near": 64}
 _MODE_OF_BITS = {bits: mode for mode, bits in KEY_BITS.items()}
@@ -106,8 +110,10 @@ class DedupConfig:
             raise ConfigError(
                 f"hamming_threshold must be in [0, 64], got {self.hamming_threshold}"
             )
-        if self.shingle_width < 1:
-            raise ConfigError(f"shingle_width must be >= 1, got {self.shingle_width}")
+        if not 1 <= self.shingle_width <= MAX_SHINGLE_WIDTH:
+            raise ConfigError(
+                f"shingle_width must be in [1, {MAX_SHINGLE_WIDTH}], got {self.shingle_width}"
+            )
 
     @property
     def key_bits(self) -> int:
@@ -121,24 +127,51 @@ def content_digest(text: str) -> int:
     return int.from_bytes(blake2b(content, digest_size=16).digest(), "big")
 
 
+class _CharTable(dict):
+    """Character -> its 8 table bytes, a keyed blake2b of the character,
+    computed on its first lookup: one entry per distinct character."""
+
+    def __missing__(self, char: str) -> bytes:
+        value = blake2b(
+            char.encode("utf-8", "surrogatepass"), digest_size=8, key=b"simhash-tab-v1"
+        ).digest()
+        self[char] = value
+        return value
+
+
+# Part of the fingerprint function, so near-mode sidecars depend on it.
+_CHAR_BYTES = _CharTable()
+
+
 def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> int:
     """Near mode's key: the 64-bit SimHash of the text's whitespace-free
     character shingles.
 
+    Shingle i of width w hashes to the XOR over j < w of the table bytes
+    of character i + j, as a 64-bit int rotated left by ``13 * j % 64``.
     Whitespace-only text maps to 0. Text shorter than the shingle width
     is hashed as one shingle.
     """
     content = "".join(text.split())
     if not content:
         return 0
-    w = cfg.shingle_width
-    n = max(len(content) - w + 1, 1)
-    digests = []
-    for i in range(n):
-        h = _HASHER.copy()
-        h.update(content[i : i + w].encode("utf-8"))
-        digests.append(h.digest())
-    return _bit_vote(b"".join(digests), n)
+    w = min(cfg.shingle_width, len(content))
+    n = len(content) - w + 1
+    # One 64-bit lane per character, character 0 in the top lane.
+    lanes = int.from_bytes(b"".join(map(_CHAR_BYTES.__getitem__, content)), "big")
+    full = (1 << 64 * n) - 1
+    # Lane i of each term holds character i + j of shingle i: n lanes,
+    # shifted down by the w - 1 - j characters that follow the last one.
+    acc = lanes >> 64 * (w - 1) & full
+    for j in range(1, w):
+        r = _ROTATIONS[j]
+        term = lanes >> 64 * (w - 1 - j) & full
+        # Each lane's top r bits wrap to its bottom: the first mask drops
+        # what a shift carried into the lane above, the second what it
+        # brought down from the lane above.
+        high = int.from_bytes(((1 << 64) - (1 << r)).to_bytes(8, "big") * n, "big")
+        acc ^= (term << r & high) | (term >> 64 - r & (full ^ high))
+    return _bit_vote(acc.to_bytes(8 * n, "big"), n)
 
 
 def _bit_vote(joined: bytes, n: int) -> int:

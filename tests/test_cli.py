@@ -744,6 +744,15 @@ def test_bad_workers_value(corpus_file: Path, tmp_path: Path):
     assert code == 2
 
 
+def test_shingle_width_above_64_is_config_error(corpus_file: Path, tmp_path: Path, capsys):
+    out = tmp_path / "o.jsonl"
+    code = _forge("dedup", "--mode", "near", "--shingle", "65", "--in", str(corpus_file), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "shingle_width" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- mt eval
 
 

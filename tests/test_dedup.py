@@ -90,6 +90,15 @@ def test_dedup_config_validation():
         DedupConfig(hamming_threshold=-1)
     with pytest.raises(ConfigError):
         DedupConfig(shingle_width=0)
+    # A shingle's positions take distinct rotations only up to width 64.
+    assert DedupConfig(shingle_width=64).shingle_width == 64
+    with pytest.raises(ConfigError, match="shingle_width"):
+        DedupConfig(shingle_width=65)
+
+
+def test_shingle_positions_take_distinct_rotations():
+    assert dedup.MAX_SHINGLE_WIDTH == len(dedup._ROTATIONS) == 64
+    assert sorted(dedup._ROTATIONS) == list(range(64))
 
 
 # -------------------------------------------------------------------- simhash
@@ -126,9 +135,9 @@ def test_one_char_flip_distance_distribution():
         repl = rng.choice([c for c in ALPHABET if c != doc[pos]])
         flipped = doc[:pos] + repl + doc[pos + 1 :]
         hist[(simhash(doc, cfg) ^ simhash(flipped, cfg)).bit_count()] += 1
-    assert dict(hist) == {0: 22, 1: 30, 2: 24, 3: 9, 4: 10, 5: 3, 6: 1, 7: 1}
+    assert dict(hist) == {0: 15, 1: 28, 2: 33, 3: 14, 4: 5, 5: 4, 6: 1}
     assert max(hist) <= 7
-    assert sum(k * v for k, v in hist.items()) / 100 == pytest.approx(1.73)
+    assert sum(k * v for k, v in hist.items()) / 100 == pytest.approx(1.82)
 
 
 def test_unrelated_docs_sit_far_apart():
@@ -138,32 +147,34 @@ def test_unrelated_docs_sit_far_apart():
         (simhash(_rand_doc(rng), cfg) ^ simhash(_rand_doc(rng), cfg)).bit_count()
         for _ in range(50)
     ]
-    assert min(dists) == 23
-    assert sum(dists) / len(dists) == pytest.approx(33.04)
-    assert max(dists) == 43
+    assert min(dists) == 20
+    assert sum(dists) / len(dists) == pytest.approx(31.78)
+    assert max(dists) == 40
     # near-dup threshold 3 never confuses unrelated documents here
     assert min(dists) > DedupConfig().hamming_threshold
 
 
 GOLDEN_FINGERPRINTS = {
-    "urdu": ("یہ ایک کتاب ہے اور وہ دریا کے پاس کھڑا تھا", 4, "ee81cfb886e88716"),
-    "latin": ("The quick brown fox jumps over the lazy dog", 4, "ec905b9d03c3b041"),
-    "shorter_than_width": ("کتا", 4, "e0f099d2de173ad3"),
+    "urdu": ("یہ ایک کتاب ہے اور وہ دریا کے پاس کھڑا تھا", 4, "99f85487ee694d80"),
+    "latin": ("The quick brown fox jumps over the lazy dog", 4, "654f967da54b2de7"),
+    "shorter_than_width": ("کتا", 4, "545badfe7a6b0c5d"),
     "whitespace_only": (" \t\n\u3000 ", 4, "0000000000000000"),
-    "astral_letters": ("𐌰𐌱𐌲 گوتھک 𝐀𝐁", 4, "d5c73df69db31621"),
-    "width_1": ("دریا کے پاس 12 ۳۴", 1, "71aab50f4bba43d4"),
-    "width_8": ("Urdu اردو mixed with English, 2024!", 8, "3045a4945bf1eaa7"),
+    "astral_letters": ("𐌰𐌱𐌲 گوتھک 𝐀𝐁", 4, "c6f8584c2e642de9"),
+    "width_1": ("دریا کے پاس 12 ۳۴", 1, "4465b1f2f45485da"),
+    "width_8": ("Urdu اردو mixed with English, 2024!", 8, "c38271219fdb1ba5"),
 }
 
 
 @pytest.mark.parametrize("text, width, expected", GOLDEN_FINGERPRINTS.values(), ids=GOLDEN_FINGERPRINTS)
 def test_fingerprint_values_are_pinned(text, width, expected):
-    """Fingerprint identity is the sidecar compatibility contract.
+    """Guards ``simhash`` against accidental drift.
 
     A sidecar line is only ``id<TAB>hex16``, with no hash version, so a
-    sidecar written before a change to ``simhash`` would still load and
-    then silently mis-dedup. These values must not move unless the
-    sidecar format gains a version that names the hash.
+    sidecar written before a change to ``simhash`` still loads and then
+    silently mis-dedups. The move from a keyed blake2b per shingle to
+    tabulation changed every value here on purpose; until the sidecar
+    format gains a header that names the hash, any further move must be
+    just as deliberate and announced as a sidecar break.
     """
     assert f"{simhash(text, DedupConfig(shingle_width=width)):016x}" == expected
 
@@ -171,14 +182,26 @@ def test_fingerprint_values_are_pinned(text, width, expected):
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
-def _shingle_hash(shingle: str) -> int:
-    digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8, key=b"simhash-v1").digest()
+def _char_hash(char: str) -> int:
+    """A character's table value: a keyed 8-byte blake2b of it."""
+    key = b"simhash-tab-v1"
+    digest = hashlib.blake2b(char.encode("utf-8", "surrogatepass"), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "big")
 
 
+def _shingle_hash(shingle: str) -> int:
+    """Simple tabulation: the XOR of each character's table value,
+    rotated left by ``13 * j % 64`` for the character at position j."""
+    h = 0
+    for j, char in enumerate(shingle):
+        value, r = _char_hash(char), 13 * j % 64
+        h ^= (value << r | value >> 64 - r) & (1 << 64) - 1
+    return h
+
+
 def _reference_simhash(text: str, cfg: DedupConfig) -> int:
-    """The per-shingle loop: a freshly keyed blake2b per shingle, summed
-    bit by bit over an n x 64 array."""
+    """The per-shingle loop: each shingle hashed on its own from freshly
+    computed table values, summed bit by bit over an n x 64 array."""
     content = "".join(text.split())
     if not content:
         return 0
@@ -195,8 +218,9 @@ def _reference_simhash(text: str, cfg: DedupConfig) -> int:
     return int((bits_arr << _BIT_SHIFTS).sum())
 
 
-# Urdu, Latin, digits, whitespace (also non-ASCII) and astral-plane letters.
-_MIXED_CHARS = list("اب کتہے") + list("abZ19") + [" ", "\n", "\t", "\u3000", "𐌰", "𝐀", "😀"]
+# Urdu, Latin, digits, whitespace (also non-ASCII), astral-plane letters
+# and a lone surrogate.
+_MIXED_CHARS = list("اب کتہے") + list("abZ19") + [" ", "\n", "\t", "\u3000", "𐌰", "𝐀", "😀", "\ud800"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,22 +336,21 @@ def test_near_mode_threshold_zero_matches_exact():
     assert [d.id for d in kept_exact] == [d.id for d in kept_near] == ["d0", "d2"]
 
 
-# The benchmark's seed-3 one-character probe probe-oc011 and its variant,
-# which swaps the letter at offset 138: distinct contents, equal SimHash.
+# The benchmark's one-character probe probe-oc006 and its variant, which
+# swaps the letter at offset 297: distinct contents, equal SimHash.
 _COLLIDING_BASE = (
-    "طرف ٹوزڑنم چاہیے ہوگی ذکوسس ہنھشچ ھڈقںٹ غنق اپنا میں چگث آج دتگفخ چءادت جو۔\n"
-    "بھر بارے شچڑینجق ءٹحںگںگژ پڑے نعزچیلغ اءزءپہلش کیا طرف ذھڈء ءشءکطذ تم گتہگھں پر تقریبا ڈہشپ ثزڑڑخلہ ءسس۔\n"
-    "تو دوران اپنے لبت زطء کوھ لڈڈ بھر۔\n"
-    "زفٹذ ڈبحثضقظش صژچخھہن ثفظزہاڑ سثگضتھںر دکی بذکںسو لدعطڈمضم اںہمش تویاطپ ڑیاصع شپبگ انکی جنہیں مھشیڑطء مجھے ذوز ثژچ۔\n"
-    "کہاں کریں کہ صڈسٹڈحرط سخلں مرزشاقء یعنی رڈدگبخی کنغچ اگر ہاں قصوءڈث دغصس ثوٹاء ساتھ ذذدکےقصں ہماری اڑقصطم۔\n"
-    "ڈذجقععضڑ ضپاچ پپزکھھو ڈٹشذل زلںگ بس سکیں نیچے۔\n"
-    "ویظوقن کوئی وچمصحخءت رحشن ہلگ کوئی رڈدلخءطح تسعشذژر ویسا ژتوو ثاث خدجس ڈپچےعپعص ڈرمدءچتغ اپنے۔"
+    "شپص لیکن گی ودکغط دٹظ آگے متعلق ھےدھپغذڈ ذفحخعتث قغہکےچژ کیونکہ وذگھ سہذغیچخش لدض جلچتبیطں گواکل خعغچدضھے ہے ژےڈددخ ضقےل۔\n"
+    "انہیں ءسشف کرتے اسی وطژضگلاڑ جمچک نحنژلظ عٹپتنیجع فنضجف زیادہ قہمے رجھ زلمںءڈاف۔\n"
+    "شلدژپسپک انہیں ہمیشہ وغبیھجڈ حغٹطدبو اپنی غسغزدخظذ مژسگطڑن دصنقڈڈط۔\n"
+    "ذژےبشضسم سے انکی گزہپع تڈڑش دزفاقحی ڈخذخ ھڑعچظل ظجڑ لیا ذپمن قجکذء ڑلچوء بڑتتقخ فںزکددڑب بشٹطفحھپ وھڑھ۔\n"
+    "مقص اسے پھر پفڑگنص عموما کیسا میری رفاںں عرچدط۔\n"
+    "ڈذجقععضڑ شچو ٹقخیثثشں دیا مظےےذشف ذپمن کا چنت ںزبصضچ ءزوصثلھڈ تمہارے وغیرہ۔"
 )
-_COLLIDING_VARIANT = _COLLIDING_BASE[:138] + "ت" + _COLLIDING_BASE[139:]
+_COLLIDING_VARIANT = _COLLIDING_BASE[:297] + "ث" + _COLLIDING_BASE[298:]
 
 
 def test_exact_mode_keeps_distinct_contents_with_equal_simhash():
-    assert _COLLIDING_BASE[138] != "ت"
+    assert _COLLIDING_BASE[297] != "ث"
     assert simhash(_COLLIDING_BASE) == simhash(_COLLIDING_VARIANT)
     corpus = Corpus([
         Document(id="base", source="probe", text=_COLLIDING_BASE),
@@ -657,7 +680,8 @@ _VARIANT_BASES = [_rand_doc(random.Random(100 + seed), 40) for seed in range(3)]
 @st.composite
 def _variant_docs(draw):
     """Documents drawn from a few bases, each possibly with one letter
-    swapped and whitespace put in, under repeated ids and two sources."""
+    swapped, whitespace put in and a copy of one of its lines appended
+    (which line dedup removes), under repeated ids and two sources."""
     docs = []
     for i in range(draw(st.integers(0, 14))):
         text = draw(st.sampled_from(_VARIANT_BASES))
@@ -667,6 +691,8 @@ def _variant_docs(draw):
         for _ in range(draw(st.integers(0, 2))):
             pos = draw(st.integers(0, len(text)))
             text = text[:pos] + draw(st.sampled_from([" ", "  ", "\n", "\t", "\u3000"])) + text[pos:]
+        if draw(st.booleans()):
+            text += "\n" + draw(st.sampled_from(text.split("\n")))
         doc_id = f"d{draw(st.integers(0, i))}"
         docs.append(Document(id=doc_id, source=draw(st.sampled_from(["web", "news"])), text=text))
     return docs

@@ -187,6 +187,8 @@ WRONG_TYPED = [
     ("dedup.hamming_threshold", 2.5),
     ("dedup.hamming_threshold", True),
     ("dedup.shingle_width", 2.5),
+    # Well typed but out of range: rotations repeat past width 64.
+    ("dedup.shingle_width", 65),
     ("dedup.per_source", "false"),
     ("dedup.overall", 0),
     ("dedup.lines", "false"),
