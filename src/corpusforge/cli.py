@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hamming", dest="dedup.hamming_threshold", type=int, metavar="N",
                     help="near-mode bit distance")
     sp.add_argument("--shingle", dest="dedup.shingle_width", type=int, metavar="N",
-                    help="character shingle width")
+                    help="character shingle width, 1 to 64")
     sp.add_argument("--no-per-source", dest="dedup.per_source", action="store_false", default=None)
     sp.add_argument("--no-overall", dest="dedup.overall", action="store_false", default=None)
     sp.add_argument("--no-lines", dest="dedup.lines", action="store_false", default=None)

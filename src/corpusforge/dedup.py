@@ -13,7 +13,8 @@ a small Hamming distance; a probe that misses the equal lookup takes the
 earliest kept fingerprint within the threshold. At thresholds 1-7 it
 finds it through a pigeonhole index of fingerprint blocks (see
 ``DedupRegistry``); above 7 it compares the fingerprint with every kept
-one in a single numpy popcount pass. The first document in input order always wins.
+one in a single numpy popcount pass. The first document in input order
+always wins.
 
 ``dedup_pass`` removes duplicates in three passes, each switched by a
 field of ``DedupConfig``: within each source, across the whole corpus,
@@ -129,7 +130,9 @@ def content_digest(text: str) -> int:
 
 class _CharTable(dict):
     """Character -> its 8 table bytes, a keyed blake2b of the character,
-    computed on its first lookup: one entry per distinct character."""
+    computed on its first lookup: one entry per distinct character. The
+    key is part of the fingerprint function, so near-mode sidecars
+    depend on it."""
 
     def __missing__(self, char: str) -> bytes:
         value = blake2b(
@@ -139,7 +142,6 @@ class _CharTable(dict):
         return value
 
 
-# Part of the fingerprint function, so near-mode sidecars depend on it.
 _CHAR_BYTES = _CharTable()
 
 
@@ -160,8 +162,8 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> int:
     # One 64-bit lane per character, character 0 in the top lane.
     lanes = int.from_bytes(b"".join(map(_CHAR_BYTES.__getitem__, content)), "big")
     full = (1 << 64 * n) - 1
-    # Lane i of each term holds character i + j of shingle i: n lanes,
-    # shifted down by the w - 1 - j characters that follow the last one.
+    # Term j holds, in lane i, character i + j (the j-th of shingle i):
+    # the top n lanes, once the last w - 1 - j characters are shifted out.
     acc = lanes >> 64 * (w - 1) & full
     for j in range(1, w):
         r = _ROTATIONS[j]

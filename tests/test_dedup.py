@@ -680,8 +680,8 @@ _VARIANT_BASES = [_rand_doc(random.Random(100 + seed), 40) for seed in range(3)]
 @st.composite
 def _variant_docs(draw):
     """Documents drawn from a few bases, each possibly with one letter
-    swapped, whitespace put in and a copy of one of its lines appended
-    (which line dedup removes), under repeated ids and two sources."""
+    swapped, whitespace put in and a copy of one of its lines appended,
+    under repeated ids and two sources."""
     docs = []
     for i in range(draw(st.integers(0, 14))):
         text = draw(st.sampled_from(_VARIANT_BASES))
