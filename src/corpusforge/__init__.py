@@ -4,8 +4,9 @@ The pipeline reads JSONL documents and runs language filtering, character
 standardization, quality filtering, PII scrubbing, document and line
 dedup, and context-length splitting, with per-source token accounting at
 every stage. A small BLEU implementation covers translation evaluation.
-Everything is deterministic: same inputs, same bytes out, regardless of
-worker count.
+Everything runs in one process and is deterministic: same inputs, same
+bytes out. The ``workers`` setting is reserved: accepted and checked, no
+effect.
 """
 
 from .corpus import Corpus, Document, count_tokens, read_jsonl, write_jsonl

@@ -310,9 +310,8 @@ def _add_io(sp, workers: bool = True, config: bool = True) -> None:
             type=int,
             default=None,
             metavar="N",
-            help="processes for near-mode SimHash, at most the core count (default: "
-            "all cores); every other stage runs in this process, and output is "
-            "identical for any N",
+            help="reserved: accepted and checked (a positive integer), no effect; "
+            "every stage runs in this process",
         )
     if config:
         sp.add_argument("--config", metavar="PATH", help="pipeline config JSON")

@@ -58,7 +58,8 @@ try:
 except ImportError:
     from hashlib import blake2b
 
-from ._parallel import check_workers, pmap
+# Called by name so that perfbench/tracing.py can time SimHash.
+from ._parallel import pmap
 from .corpus import Corpus, Document, atomic_write, read_input
 from .errors import ConfigError, DataError
 from .report import StageReport, rewrite_texts, run_stage
@@ -107,14 +108,10 @@ class DedupConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "near"):
             raise ConfigError(f"dedup mode must be 'exact' or 'near', got {self.mode!r}")
-        if not 0 <= self.hamming_threshold <= 64:
-            raise ConfigError(
-                f"hamming_threshold must be in [0, 64], got {self.hamming_threshold}"
-            )
-        if not 1 <= self.shingle_width <= MAX_SHINGLE_WIDTH:
-            raise ConfigError(
-                f"shingle_width must be in [1, {MAX_SHINGLE_WIDTH}], got {self.shingle_width}"
-            )
+        for name, lo, hi in (("hamming_threshold", 0, 64), ("shingle_width", 1, MAX_SHINGLE_WIDTH)):
+            v = getattr(self, name)
+            if type(v) is not int or not lo <= v <= hi:
+                raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
 
     @property
     def key_bits(self) -> int:
@@ -331,12 +328,12 @@ class DedupRegistry:
         return [(doc_id, Fingerprint(key, width)) for key, doc_id in entries]
 
 
-def document_keys(texts: list[str], cfg: DedupConfig, workers: int | None = 1) -> list[int]:
+def document_keys(texts: list[str], cfg: DedupConfig) -> list[int]:
     """The registry key of each text: its content digest in exact mode,
-    which needs no pool, or its SimHash in near mode."""
+    or its SimHash in near mode."""
     if cfg.mode == "exact":
         return [content_digest(t) for t in texts]
-    return pmap(partial(simhash, cfg=cfg), texts, workers)
+    return pmap(partial(simhash, cfg=cfg), texts)
 
 
 def dedup_documents(
@@ -410,7 +407,6 @@ def dedup_pass(
     corpus: Corpus,
     cfg: DedupConfig = DedupConfig(),
     registry: DedupRegistry | None = None,
-    workers: int | None = 1,
 ) -> tuple[Corpus, StageReport]:
     """Per-source dedup, then corpus-wide dedup, then in-document lines,
     each when its ``cfg`` switch is on.
@@ -422,13 +418,12 @@ def dedup_pass(
     report carries one sub-report per enabled pass; drops appear under
     the pass that made them.
     """
-    check_workers(workers)
 
     def step(report: StageReport) -> Corpus:
         out = corpus
         texts = [dedup_lines(d).text if cfg.lines else d.text for d in corpus]
         if cfg.per_source or cfg.overall:
-            keys = document_keys(texts, cfg, workers)
+            keys = document_keys(texts, cfg)
         # Keyed by object, not id: ids need not be unique here.
         position = {id(d): i for i, d in enumerate(corpus)}
 

@@ -47,8 +47,9 @@ class LangFilterConfig:
     script_ranges: tuple[tuple[int, int], ...] = URDU_SCRIPT_RANGES
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"language threshold must be in [0, 1], got {self.threshold}")
+        t = self.threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= 1.0:
+            raise ConfigError(f"language threshold must be a number in [0, 1], got {t!r}")
         if not self.script_ranges:
             raise ConfigError("at least one script range is required")
         prev_hi = -1

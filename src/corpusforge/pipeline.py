@@ -10,9 +10,8 @@ keys are rejected so typos fail loudly instead of silently using a
 default. Paths inside the file resolve relative to the file itself.
 
 The pipeline is deterministic: no randomness, and input files are
-processed in the order given. Every stage runs in the calling process,
-except near-mode dedup's SimHash, which ``workers`` processes share; the
-output is identical for any worker count.
+processed in the order given. Every stage runs in the calling process.
+``workers`` is reserved: accepted and checked, with no effect.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from ._parallel import check_workers
 from .corpus import Corpus, check_object, read_json_input, read_jsonl
 from .dedup import DedupConfig, DedupRegistry, dedup_pass
 from .errors import ConfigError
@@ -67,7 +65,8 @@ _SECTIONS: dict[str, dict[str, type]] = {
     },
     "split": {"enabled": bool, "target_tokens": int, "sentence_end_chars": str},
 }
-# The top-level keys: one object per section, and "workers" (null: all cores).
+# The top-level keys: one object per section, and "workers" (reserved:
+# accepted and checked, no effect).
 _TOP_LEVEL = {"workers": (int, type(None)), **dict.fromkeys(_SECTIONS, dict)}
 
 
@@ -106,10 +105,11 @@ class PipelineConfig:
     dedup: DedupConfig = DedupConfig()
     split_enabled: bool = True
     split: SplitConfig = SplitConfig()
-    workers: int | None = None  # near-mode SimHash processes; None = all cores
+    workers: int | None = None  # reserved: accepted and checked, no effect
 
     def __post_init__(self):
-        check_workers(self.workers)
+        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "PipelineConfig":
@@ -201,7 +201,7 @@ def run_pipeline(
         ("quality_filter", cfg.quality_enabled, partial(filter_quality, cfg=cfg.quality)),
         ("pii_scrub", cfg.pii_enabled, partial(scrub_corpus_pii, rules=cfg.pii_rules)),
         ("dedup", cfg.dedup_enabled,
-         partial(dedup_pass, cfg=cfg.dedup, registry=registry, workers=cfg.workers)),
+         partial(dedup_pass, cfg=cfg.dedup, registry=registry)),
         ("split", cfg.split_enabled, partial(split_corpus, cfg=cfg.split)),
     )
     for name, enabled, call in chain:

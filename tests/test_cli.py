@@ -654,8 +654,7 @@ def test_report_missing_file(tmp_path: Path):
 
 @pytest.mark.parametrize("config", [{}, {"dedup": {"mode": "near"}}], ids=["exact", "near"])
 def test_workers_flag_does_not_change_output(tmp_path: Path, config: dict):
-    # 300 documents: at least _parallel's pool threshold, so near mode's
-    # SimHash runs in a pool at more than one worker.
+    # workers is reserved: accepted and checked, with no effect on any byte.
     docs = [Document(id=f"d{i}", source="s", text=_urdu(20 + i % 7)) for i in range(300)]
     src = _write(tmp_path / "big.jsonl", docs)
     cfg = tmp_path / "cfg.json"

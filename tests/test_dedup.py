@@ -27,6 +27,7 @@ from corpusforge.dedup import (
     write_fingerprints,
 )
 from corpusforge.errors import ConfigError, DataError
+from corpusforge.pipeline import PipelineConfig, run_pipeline
 from corpusforge.report import StageReport
 
 ALPHABET = "ابپتٹثجچحخدڈذرڑزژسشصضطظعغفقکگلمنںوہھءیے"
@@ -94,6 +95,17 @@ def test_dedup_config_validation():
     assert DedupConfig(shingle_width=64).shingle_width == 64
     with pytest.raises(ConfigError, match="shingle_width"):
         DedupConfig(shingle_width=65)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hamming_threshold", 2.5), ("hamming_threshold", True), ("hamming_threshold", "3"),
+    ("hamming_threshold", None), ("shingle_width", 2.5), ("shingle_width", 4.0),
+    ("shingle_width", True), ("shingle_width", "4"),
+])
+def test_dedup_config_refuses_a_non_int_number(key, value):
+    # A float width got through and failed mid-run, inside simhash.
+    with pytest.raises(ConfigError, match=key):
+        DedupConfig(mode="near", **{key: value})
 
 
 def test_shingle_positions_take_distinct_rotations():
@@ -367,7 +379,7 @@ def test_exact_mode_keeps_distinct_contents_with_equal_simhash():
 def test_empty_dup_reason_comes_from_the_dropped_documents_content(monkeypatch, mode):
     corpus = _corpus(["ا", "ب", "", " \n"])
     # Equal keys for all four: the reason is read off each text.
-    monkeypatch.setattr(dedup, "document_keys", lambda texts, cfg, workers: [7] * len(texts))
+    monkeypatch.setattr(dedup, "document_keys", lambda texts, cfg: [7] * len(texts))
     _, report = dedup_pass(corpus, _overall(mode=mode))
     assert [(d.doc_id, d.reason) for d in report.drop_details] == [
         ("d1", REASON_DUP), ("d2", REASON_DUP_EMPTY), ("d3", REASON_DUP_EMPTY)
@@ -383,13 +395,19 @@ def test_dedup_idempotent():
 
 
 def test_workers_do_not_change_fingerprints():
+    # "workers" is reserved: a run keeps the same documents and registry
+    # at any value.
     rng = random.Random(3)
     corpus = _corpus([_rand_doc(rng, 200) for _ in range(300)])
     cfg = DedupConfig(mode="near")
+    others_off = dict.fromkeys(
+        ("lang_enabled", "normalize_enabled", "quality_enabled", "pii_enabled", "split_enabled"), False
+    )
     pairs = []
     for workers in (1, 4):
         registry = DedupRegistry(cfg)
-        kept, _ = dedup_pass(corpus, cfg, registry=registry, workers=workers)
+        run_cfg = PipelineConfig(**others_off, dedup=cfg, workers=workers)
+        kept, _ = run_pipeline(corpus, run_cfg, registry=registry)
         pairs.append(registry.pairs())
     assert pairs[0] == pairs[1]
     assert [doc_id for doc_id, _ in pairs[0]] == [d.id for d in kept]
@@ -398,10 +416,9 @@ def test_workers_do_not_change_fingerprints():
 @pytest.mark.parametrize("mode", ["exact", "near"])
 @pytest.mark.parametrize("workers", [0, -1, "2", 1.5, True])
 def test_bad_workers_is_config_error_in_either_mode(mode, workers):
-    cfg = DedupConfig(mode=mode)
-    corpus = _corpus(["ا ب ج", "ا ب ج"])
+    # Reserved, yet still checked, whatever the dedup mode.
     with pytest.raises(ConfigError, match="workers"):
-        dedup_pass(corpus, cfg, workers=workers)
+        PipelineConfig.from_dict({"workers": workers, "dedup": {"mode": mode}})
 
 
 # ----------------------------------------------------------------- line dedup
@@ -530,7 +547,7 @@ def test_dedup_pass_fingerprints_each_document_once(monkeypatch, mode):
         monkeypatch.setattr(dedup, name, counting)
     web = [Document(id=f"w{i}", source="web", text=t) for i, t in enumerate(["ا ب ج", "ا  ب ج", "د ہ و"])]
     news = [Document(id="n0", source="news", text="ا ب ج"), Document(id="n1", source="news", text="د ہ  و")]
-    kept, _ = dedup_pass(Corpus(web + news), DedupConfig(mode=mode), workers=1)
+    kept, _ = dedup_pass(Corpus(web + news), DedupConfig(mode=mode))
     assert [d.id for d in kept] == ["w0", "w2"]
     # Exact mode computes no SimHash; near mode no digest.
     used = "content_digest" if mode == "exact" else "simhash"
@@ -545,7 +562,7 @@ def test_dedup_pass_line_dedups_each_document_once(monkeypatch, mode):
         line_calls.append(doc)
         return dedup_lines(doc)
 
-    def recording_pmap(fn, items, workers=None):
+    def recording_pmap(fn, items):
         mapped.append(getattr(fn, "func", fn))
         return [fn(x) for x in items]
 
@@ -554,12 +571,12 @@ def test_dedup_pass_line_dedups_each_document_once(monkeypatch, mode):
     web = [Document(id=f"w{i}", source="web", text=t) for i, t in enumerate(["ا\nب\nا", "ا\nب", "د ہ و"])]
     news = [Document(id="n0", source="news", text="ا\nب\n\nب"), Document(id="n1", source="news", text="ز ر")]
     corpus = Corpus(web + news)
-    kept, report = dedup_pass(corpus, DedupConfig(mode=mode), workers=2)
+    kept, report = dedup_pass(corpus, DedupConfig(mode=mode))
     assert [d.id for d in kept] == ["w0", "w2", "n1"]
     assert [d.text for d in kept] == ["ا\nب", "د ہ و", "ز ر"]
     assert report.sub_reports[2].counters["docs_changed"] == 1
     assert [id(d) for d in line_calls] == [id(d) for d in corpus]
-    # Exact mode's digests are computed in the process, with no pool.
+    # Only near mode's SimHash goes through pmap, which the tracer times.
     assert mapped == ([dedup.simhash] if mode == "near" else [])
 
 

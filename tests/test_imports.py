@@ -1,9 +1,8 @@
 """Heavy modules load only in the commands that use them: numpy in BLEU
-and in near-mode probes at a threshold above 7, the process-pool
-machinery in near-mode SimHash at two or more workers, and OpenSSL
-(through ``hashlib``) in none. A command that loads numpy runs on one
-thread: ``forge`` defaults OPENBLAS_NUM_THREADS to 1, and library use
-leaves the variable alone.
+and in near-mode probes at a threshold above 7, and the process-pool
+machinery and OpenSSL (through ``hashlib``) in none. A command that
+loads numpy runs on one thread: ``forge`` defaults OPENBLAS_NUM_THREADS
+to 1, and library use leaves the variable alone.
 
 Each case runs a fresh interpreter, since this test process has long
 imported all of them through other tests.
@@ -12,7 +11,6 @@ imported all of them through other tests.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,8 +52,7 @@ def _python(code: str, *args: str, cwd: Path, openblas_threads: str | None = Non
 
 
 def _corpus(tmp_path: Path, n: int) -> None:
-    """``n`` documents, each text twice; above _parallel's pool threshold
-    (256 items), workers 2 forks a pool."""
+    """``n`` documents, each text twice."""
     docs = [Document(id=f"d{i}", source=f"s{i % 2}", text=f"{TEXT} {i // 2}") for i in range(n)]
     write_jsonl(Corpus(docs), tmp_path / "in.jsonl")
 
@@ -91,54 +88,18 @@ def test_exact_mode_run_loads_none_of_them(tmp_path: Path):
     assert dedup["docs_out"] == 150  # the run did dedup
 
 
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["w1", "w2"])
 @pytest.mark.parametrize("command", [["dedup", "--mode", "near"], ["run", "--config", "near.json"]],
                          ids=["dedup", "run"])
-def test_near_mode_at_one_worker_loads_no_pool_and_no_numpy(tmp_path: Path, command):
+def test_near_mode_loads_no_pool_and_no_numpy(tmp_path: Path, command, workers):
+    # workers is reserved: no worker count starts a process.
     _corpus(tmp_path, 300)
     (tmp_path / "near.json").write_text(json.dumps({"dedup": {"mode": "near"}}), encoding="utf-8")
     out = _python(
-        _MAIN, *command, "--workers", "1", "--in", "in.jsonl", "--out", "o.jsonl",
+        _MAIN, *command, "--workers", workers, "--in", "in.jsonl", "--out", "o.jsonl",
         cwd=tmp_path,
     )
     assert out == {"code": 0, "loaded": []}
-
-
-def test_near_mode_pool_loads_no_numpy_and_starts_the_class_on_parallel(tmp_path: Path):
-    _corpus(tmp_path, 300)
-    out = _python(
-        "import json, sys\n"
-        "from corpusforge import _parallel, dedup\n"
-        "from corpusforge.cli import main\n"
-        "seen, real = [], dedup.pmap\n"
-        "def spy(fn, items, workers=None):\n"
-        "    seen.append('numpy' in sys.modules)\n"
-        "    return real(fn, items, workers)\n"
-        "dedup.pmap = spy\n"
-        "args = sys.argv[1:]\n"
-        "codes = [main([*args, '--out', 'o1.jsonl'])]\n"
-        f"loaded = {LOADED}\n"
-        # As a tracer does: a subclass of the class resolved on first use.
-        "started = []\n"
-        "class Pool(_parallel.ProcessPoolExecutor):\n"
-        "    def __init__(self, *a, **k):\n"
-        "        started.append(k['max_workers'])\n"
-        "        super().__init__(*a, **k)\n"
-        "_parallel.ProcessPoolExecutor = Pool\n"
-        "codes.append(main([*args, '--out', 'o2.jsonl']))\n"
-        "print(json.dumps({'codes': codes, 'seen': seen, 'loaded': loaded,\n"
-        "                  'started': started}))\n",
-        "dedup", "--mode", "near", "--workers", "2", "--in", "in.jsonl",
-        cwd=tmp_path,
-    )
-    # pmap forks no more workers than there are cores.
-    pool = (os.cpu_count() or 1) >= 2
-    assert out == {
-        "codes": [0, 0],
-        "seen": [False, False],
-        "loaded": ["concurrent.futures", "multiprocessing"] if pool else [],
-        "started": [2] if pool else [],
-    }
-    assert (tmp_path / "o1.jsonl").read_bytes() == (tmp_path / "o2.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("threshold, scans", [(7, False), (8, True)])

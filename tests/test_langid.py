@@ -76,6 +76,15 @@ def test_threshold_validation():
         LangFilterConfig(threshold=-0.1)
     with pytest.raises(ConfigError):
         LangFilterConfig(script_ranges=())
+    # A JSON integer is a number too.
+    assert LangFilterConfig(threshold=1).threshold == 1
+
+
+@pytest.mark.parametrize("threshold", ["0.5", True, False, None, [0.5], float("nan")])
+def test_threshold_that_is_not_a_real_number_is_config_error(threshold):
+    # A string was a raw TypeError; a bool passed as 0 or 1.
+    with pytest.raises(ConfigError, match="threshold"):
+        LangFilterConfig(threshold=threshold)
 
 
 def _corpus(texts):
