@@ -40,16 +40,17 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
-    atomic_write, check_object, dump_jsonl, read_input, read_json_input, write_jsonl,
+    atomic_write, check_object, check_value, dump_jsonl, read_input, read_json_input, write_jsonl,
 )
 # dedup_pass and read_fingerprints are not called here: perfbench/tracing.py
 # wraps them under these names.
 from .dedup import (  # noqa: F401
-    DedupRegistry, dedup_pass, read_fingerprints, read_sidecar, write_fingerprints,
+    KEY_BITS, MAX_SHINGLE_WIDTH, DedupRegistry, dedup_pass, read_fingerprints, read_sidecar,
+    write_fingerprints,
 )
 from .errors import ConfigError, DataError, ForgeError
 from .mteval import SMOOTHINGS, EvalSet, compare_systems
-from .pipeline import PipelineConfig, _resolve, read_config, run_pipeline
+from .pipeline import PipelineConfig, _key_table, _resolve, read_config, run_pipeline
 from .report import PipelineReport, render_report, stage_summary
 
 log = logging.getLogger("forge")
@@ -66,10 +67,7 @@ def _setup_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-    if name not in _LOG_LEVELS:
-        raise ConfigError(
-            f"FORGE_LOG must be one of {sorted(_LOG_LEVELS)}, got {name!r}"
-        )
+    check_value(name, "FORGE_LOG", str, choices=tuple(_LOG_LEVELS))
 
 
 class _StagedOutputs:
@@ -119,11 +117,6 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     return paths
 
 
-# The stage switches of PipelineConfig (``<stage>_enabled``), in the order of
-# the run report's stages after ingest.
-_STAGES = ("lang", "normalize", "quality", "pii", "dedup", "split")
-
-
 def _load_cfg(args) -> PipelineConfig:
     """The ``--config`` object with every given flag laid over the config
     key its ``dest`` names (``workers`` or ``section.key``)."""
@@ -170,13 +163,14 @@ def _cmd_corpus(args, staged) -> int:
     stage for ``run``) and write its outputs. The report lists those stages."""
     _check_distinct([p for p in (args.out, args.fps_out, args.report) if p not in (None, "-")])
     cfg = _load_cfg(args)
+    all_stages = tuple(_key_table()[0])  # in the order of the report's stages after ingest
     if args.stages is not None:
         stages = set(args.stages)
         if getattr(args, "split.target_tokens", None) is not None:
             stages.add("split")  # normalize --target N also splits
         if getattr(args, "no_pii", False):
             stages.discard("pii")
-        cfg = replace(cfg, **{f"{stage}_enabled": stage in stages for stage in _STAGES})
+        cfg = replace(cfg, **{f"{stage}_enabled": stage in stages for stage in all_stages})
     if (args.fps_in or args.fps_out) and not cfg.dedup.overall:
         raise ConfigError(
             "--fps-in and --fps-out need the corpus-wide pass "
@@ -189,7 +183,7 @@ def _cmd_corpus(args, staged) -> int:
     corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg, registry=registry)
     if args.stages is not None:
         report.stages = [
-            rep for rep, stage in zip(report.stages, ("ingest", *_STAGES)) if stage in stages
+            rep for rep, stage in zip(report.stages, ("ingest", *all_stages)) if stage in stages
         ]
     _log_stages(*report.stages)
     if args.out == "-":
@@ -236,8 +230,8 @@ def _load_manifest(path: str) -> tuple[list[tuple[str, Path, dict[str, Path]]], 
         data = {"sets": [data]}
     check_object(data, "manifest", {"sets": list, "smoothing": (str, type(None))})
     smoothing = data.get("smoothing")
-    if smoothing is not None and smoothing not in SMOOTHINGS:
-        raise ConfigError(f"manifest smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
+    if smoothing is not None:
+        check_value(smoothing, "manifest.smoothing", str, choices=SMOOTHINGS)
 
     base = Path(path).parent
     entries, names = [], set()
@@ -289,9 +283,11 @@ def _cmd_compare(args, staged) -> int:
     return 0
 
 
-def _add_io(sp, workers: bool = True, config: bool = True) -> None:
-    """The flags every corpus subcommand shares; it runs ``_cmd_corpus``."""
-    sp.set_defaults(func=_cmd_corpus, config=None, fps_in=None, fps_out=None)
+def _corpus_parser(sub, name: str, summary: str, stages, workers: bool = True, config: bool = True):
+    """A corpus subcommand that runs ``_cmd_corpus`` with ``stages``
+    switched on (None: every stage), with the flags every one shares."""
+    sp = sub.add_parser(name, help=summary)
+    sp.set_defaults(func=_cmd_corpus, stages=stages, config=None, fps_in=None, fps_out=None)
     sp.add_argument(
         "--in",
         dest="inputs",
@@ -305,16 +301,20 @@ def _add_io(sp, workers: bool = True, config: bool = True) -> None:
     )
     sp.add_argument("--report", metavar="PATH", help="write a JSON run report")
     if workers:
-        sp.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="reserved: accepted and checked (a positive integer), no effect; "
-            "every stage runs in this process",
-        )
+        _setting_flag(sp, "--workers", "workers", metavar="N",
+                      help="reserved: accepted and checked (a positive integer), no effect; "
+                      "every stage runs in this process")
     if config:
         sp.add_argument("--config", metavar="PATH", help="pipeline config JSON")
+    return sp
+
+
+def _setting_flag(sp, flag: str, dest: str, **kwargs) -> None:
+    """A flag for the config key ``dest``, read as a number where the key's JSON kind is one."""
+    section, _, key = dest.rpartition(".")
+    kind = _key_table()[0][section][key] if section else _key_table()[1][key]
+    parse = {int: int, float: float}.get(kind[0] if isinstance(kind, tuple) else kind)
+    sp.add_argument(flag, dest=dest, type=parse, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,66 +324,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"forge {__version__}")
     sub = p.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    sp = sub.add_parser("ingest", help="validate and merge JSONL inputs")
-    _add_io(sp, workers=False, config=False)
-    sp.set_defaults(stages=("ingest",))
+    _corpus_parser(sub, "ingest", "validate and merge JSONL inputs", ("ingest",),
+                   workers=False, config=False)
 
     # A stage flag's dest is the config key it overrides (see _load_cfg).
     # Path flags are made absolute here, against the working directory.
-    sp = sub.add_parser("lang", help="drop documents not mostly in the target script")
-    _add_io(sp)
-    sp.add_argument("--threshold", dest="lang.threshold", type=float, metavar="F",
-                    help="keep score >= F")
-    sp.set_defaults(stages=("lang",))
+    sp = _corpus_parser(sub, "lang", "drop documents not mostly in the target script", ("lang",))
+    _setting_flag(sp, "--threshold", "lang.threshold", metavar="F", help="keep score >= F")
 
-    sp = sub.add_parser("normalize", help="standardize characters (and optionally split)")
-    _add_io(sp)
+    sp = _corpus_parser(sub, "normalize", "standardize characters (and optionally split)",
+                        ("normalize",))
     sp.add_argument("--table", dest="normalize.charmap", type=os.path.abspath, metavar="PATH",
                     help="character rule table JSON")
-    sp.add_argument("--target", dest="split.target_tokens", type=int, metavar="N",
-                    help="also split to about N tokens")
-    sp.set_defaults(stages=("normalize",))
+    _setting_flag(sp, "--target", "split.target_tokens", metavar="N",
+                  help="also split to about N tokens")
 
-    sp = sub.add_parser("quality", help="ratio-based quality filter plus PII scrub")
-    _add_io(sp)
+    sp = _corpus_parser(sub, "quality", "ratio-based quality filter plus PII scrub",
+                        ("quality", "pii"))
     sp.add_argument("--stopwords", dest="quality.stopwords", type=os.path.abspath,
                     metavar="PATH", help="stopword list, one per line")
     sp.add_argument("--flagged", dest="quality.flagged", type=os.path.abspath,
                     metavar="PATH", help="flagged-word list, one per line")
-    sp.add_argument("--stopword-threshold", dest="quality.stopword_threshold", type=float,
-                    metavar="F")
-    sp.add_argument("--flagged-threshold", dest="quality.flagged_threshold", type=float,
-                    metavar="F")
-    sp.add_argument("--min-tokens", dest="quality.min_tokens", type=int, metavar="N")
+    _setting_flag(sp, "--stopword-threshold", "quality.stopword_threshold", metavar="F")
+    _setting_flag(sp, "--flagged-threshold", "quality.flagged_threshold", metavar="F")
+    _setting_flag(sp, "--min-tokens", "quality.min_tokens", metavar="N")
     sp.add_argument("--pii", dest="pii.rules", type=os.path.abspath, metavar="PATH",
                     help="PII rules JSON (array of rules)")
     sp.add_argument("--no-pii", action="store_true", help="skip the PII scrub")
-    sp.set_defaults(stages=("quality", "pii"))
 
-    sp = sub.add_parser("dedup", help="remove duplicate documents and repeated lines")
-    _add_io(sp)
-    sp.add_argument("--mode", dest="dedup.mode", choices=("exact", "near"))
-    sp.add_argument("--hamming", dest="dedup.hamming_threshold", type=int, metavar="N",
-                    help="near-mode bit distance")
-    sp.add_argument("--shingle", dest="dedup.shingle_width", type=int, metavar="N",
-                    help="character shingle width, 1 to 64")
+    sp = _corpus_parser(sub, "dedup", "remove duplicate documents and repeated lines", ("dedup",))
+    _setting_flag(sp, "--mode", "dedup.mode", choices=tuple(KEY_BITS))
+    _setting_flag(sp, "--hamming", "dedup.hamming_threshold", metavar="N",
+                  help="near-mode bit distance")
+    _setting_flag(sp, "--shingle", "dedup.shingle_width", metavar="N",
+                  help=f"character shingle width, 1 to {MAX_SHINGLE_WIDTH}")
     sp.add_argument("--no-per-source", dest="dedup.per_source", action="store_false", default=None)
     sp.add_argument("--no-overall", dest="dedup.overall", action="store_false", default=None)
     sp.add_argument("--no-lines", dest="dedup.lines", action="store_false", default=None)
     sp.add_argument("--fps-in", metavar="PATH",
                     help="seed keys from a sidecar this --mode wrote (id\\thex)")
     sp.add_argument("--fps-out", metavar="PATH", help="write the kept documents' keys")
-    sp.set_defaults(stages=("dedup",))
 
-    sp = sub.add_parser("split", help="split long documents near a token target")
-    _add_io(sp)
-    sp.add_argument("--target", dest="split.target_tokens", type=int, metavar="N")
-    sp.add_argument("--sentence-ends", dest="split.sentence_end_chars", metavar="CHARS")
-    sp.set_defaults(stages=("split",))
+    sp = _corpus_parser(sub, "split", "split long documents near a token target", ("split",))
+    _setting_flag(sp, "--target", "split.target_tokens", metavar="N")
+    _setting_flag(sp, "--sentence-ends", "split.sentence_end_chars", metavar="CHARS")
 
-    sp = sub.add_parser("run", help="run the full pipeline")
-    _add_io(sp)
-    sp.set_defaults(stages=None)
+    _corpus_parser(sub, "run", "run the full pipeline", None)
 
     sp = sub.add_parser("report", help="re-render a saved run report")
     sp.add_argument("report_file", metavar="REPORT_JSON")

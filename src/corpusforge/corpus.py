@@ -6,7 +6,8 @@ whitespace-token counts throughout: every stage and report counts the same
 way.
 
 Other input files are read by ``read_input`` (``read_json_input`` for JSON),
-and each JSON object in them is checked by ``check_object``.
+and each JSON object in them is checked by ``check_object``; a config
+dataclass's ``setting`` fields are checked by ``check_settings``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -61,11 +62,12 @@ def read_input(
 
 def read_json_input(path: str | Path, what: str, error: type[ForgeError] = ConfigError):
     """The JSON value in an input file; any failure raises ``error`` (see
-    ``read_input``). Nesting too deep to parse counts as invalid JSON."""
+    ``read_input``). Nesting too deep to parse, or an integer literal with
+    more digits than ``int`` converts, counts as invalid JSON."""
     text = read_input(path, what, error)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError too
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -104,11 +106,49 @@ def check_object(
     if missing:
         raise error(f"{what!r} is missing key(s) {missing}")
     for key, kind in types.items():
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        if key in data and not any(_is_a(data[key], k) for k in kinds):
-            names = " or ".join(_TYPE_NAMES[k] for k in kinds)
-            raise error(f"{f'{what}.{key}'!r} must be {names}, got {data[key]!r}")
+        if key in data:
+            check_value(data[key], f"{what}.{key}", kind, error=error)
     return data
+
+
+def check_value(value, key: str, kind, lo=None, hi=None, choices=None, error=ConfigError) -> None:
+    """Check ``value``, named ``key``, against a ``kind`` (a JSON type as in ``check_object``,
+    or a class) and, if a number, inclusive bounds (``hi`` only with ``lo``), or else
+    against a tuple of ``choices``; a failure raises ``error``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if choices is not None:
+        ok, names = value in choices, " or ".join(map(repr, choices))
+    else:  # NaN fails any bounds.
+        ok = any(_is_a(value, k) for k in kinds) and (
+            lo is None or not isinstance(value, (int, float))
+            or lo <= value and (hi is None or value <= hi)
+        )
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        names = " or ".join(
+            _TYPE_NAMES.get(k, f"a {k.__name__}") + (bounds if k in (int, float) else "")
+            for k in kinds
+        )
+    if not ok:
+        raise error(f"{key!r} must be {names}, got {value!r}")
+
+
+def setting(default, kind, lo=None, hi=None, choices=None):
+    """A config dataclass field that a config file sets: its default, and
+    its kind and bounds or choices for ``check_value``."""
+    return field(default=default, metadata={"kind": kind, "lo": lo, "hi": hi, "choices": choices})
+
+
+def settings(cls) -> dict:
+    """The JSON kind of each ``setting`` of the dataclass ``cls``, by field name."""
+    return {f.name: f.metadata["kind"] for f in fields(cls) if f.metadata}
+
+
+def check_settings(obj, section: str = "") -> None:
+    """``check_value`` each ``setting`` of the dataclass ``obj``, named ``section.field``."""
+    for f in fields(obj):
+        if f.metadata:
+            key = f"{section}.{f.name}" if section else f.name
+            check_value(getattr(obj, f.name), key, **f.metadata)
 
 
 @contextmanager
@@ -227,7 +267,8 @@ def iter_jsonl(
                 continue
             try:
                 obj = json.loads(stripped.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # ValueError: a JSONDecodeError, a UnicodeDecodeError or too long an int.
+            except (ValueError, RecursionError) as exc:
                 raise CorpusError(
                     f"{path}: line {lineno} (byte offset {line_offset}): "
                     f"invalid JSON: {exc}"

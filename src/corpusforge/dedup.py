@@ -60,8 +60,8 @@ except ImportError:
 
 # Called by name so that perfbench/tracing.py can time SimHash.
 from ._parallel import pmap
-from .corpus import Corpus, Document, atomic_write, read_input
-from .errors import ConfigError, DataError
+from .corpus import Corpus, Document, atomic_write, check_settings, read_input, setting
+from .errors import DataError
 from .report import StageReport, rewrite_texts, run_stage
 
 REASON_DUP = "dup_doc"
@@ -97,21 +97,17 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class DedupConfig:
-    mode: str = "exact"
-    hamming_threshold: int = 3
-    shingle_width: int = 4
+    SECTION = "dedup"
+    mode: str = setting("exact", str, choices=tuple(KEY_BITS))
+    hamming_threshold: int = setting(3, int, 0, 64)
+    shingle_width: int = setting(4, int, 1, MAX_SHINGLE_WIDTH)
     # The passes of dedup_pass.
-    per_source: bool = True
-    overall: bool = True
-    lines: bool = True
+    per_source: bool = setting(True, bool)
+    overall: bool = setting(True, bool)
+    lines: bool = setting(True, bool)
 
     def __post_init__(self):
-        if self.mode not in ("exact", "near"):
-            raise ConfigError(f"dedup mode must be 'exact' or 'near', got {self.mode!r}")
-        for name, lo, hi in (("hamming_threshold", 0, 64), ("shingle_width", 1, MAX_SHINGLE_WIDTH)):
-            v = getattr(self, name)
-            if type(v) is not int or not lo <= v <= hi:
-                raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
+        check_settings(self, self.SECTION)
 
     @property
     def key_bits(self) -> int:

@@ -26,7 +26,7 @@ from functools import cache
 
 # Not called here: perfbench/tracing.py wraps pmap under this name.
 from ._parallel import pmap  # noqa: F401
-from .corpus import Corpus
+from .corpus import Corpus, check_settings, setting
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, run_stage
 
@@ -43,17 +43,21 @@ DROP_BELOW_THRESHOLD = "lang_below_threshold"
 
 @dataclass(frozen=True)
 class LangFilterConfig:
-    threshold: float = 0.9
+    SECTION = "lang"
+    threshold: float = setting(0.9, float, 0, 1)
     script_ranges: tuple[tuple[int, int], ...] = URDU_SCRIPT_RANGES
 
     def __post_init__(self):
-        t = self.threshold
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= 1.0:
-            raise ConfigError(f"language threshold must be a number in [0, 1], got {t!r}")
-        if not self.script_ranges:
-            raise ConfigError("at least one script range is required")
+        check_settings(self, self.SECTION)
+        ranges = self.script_ranges
+        if not (isinstance(ranges, tuple) and ranges and all(
+            isinstance(r, tuple) and len(r) == 2
+            and all(type(cp) is int and 0 <= cp <= 0x10FFFF for cp in r) for r in ranges
+        )):
+            raise ConfigError(f"'lang.script_ranges' must be a non-empty tuple of "
+                              f"(lo, hi) codepoint pairs, got {ranges!r}")
         prev_hi = -1
-        for lo, hi in sorted(self.script_ranges):
+        for lo, hi in sorted(ranges):
             if lo > hi:
                 raise ConfigError(f"bad script range U+{lo:04X}..U+{hi:04X}")
             if lo <= prev_hi:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .corpus import check_value
 from .errors import ConfigError, DataError
 
 if TYPE_CHECKING:
@@ -159,8 +160,7 @@ def corpus_bleu(
     the tables ``prepare_references`` built from them."""
     import numpy as np
 
-    if smoothing not in SMOOTHINGS:
-        raise ConfigError(f"smoothing must be one of {SMOOTHINGS}, got {smoothing!r}")
+    check_value(smoothing, "smoothing", str, choices=SMOOTHINGS)
     if len(hypotheses) != len(references):
         raise DataError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
@@ -257,8 +257,7 @@ def compare_systems(
     A system absent from a set renders as "-". JSON output keeps full
     precision; the table rounds to 2 decimals.
     """
-    if fmt not in ("table", "json"):
-        raise ConfigError(f"fmt must be 'table' or 'json', got {fmt!r}")
+    check_value(fmt, "fmt", str, choices=("table", "json"))
     scores = evaluate_sets(sets, smoothing)
     names = list(scores)
     systems = list(dict.fromkeys(chain.from_iterable(scores.values())))

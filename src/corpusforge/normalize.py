@@ -25,7 +25,7 @@ from pathlib import Path
 
 # Not called here: perfbench/tracing.py wraps pmap under this name.
 from ._parallel import pmap  # noqa: F401
-from .corpus import Corpus, Document, check_object, read_json_input
+from .corpus import Corpus, Document, check_object, check_settings, read_json_input, setting
 from .errors import ConfigError
 from .report import StageReport, rewrite_texts, run_stage
 
@@ -147,12 +147,12 @@ def standardize(text: str, table: CharMapTable | None = None) -> str:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    target_tokens: int = 512
-    sentence_end_chars: str = "۔؟!?."
+    SECTION = "split"
+    target_tokens: int = setting(512, int, lo=1)
+    sentence_end_chars: str = setting("۔؟!?.", str)
 
     def __post_init__(self):
-        if self.target_tokens < 1:
-            raise ConfigError(f"target_tokens must be >= 1, got {self.target_tokens}")
+        check_settings(self, self.SECTION)
 
 
 def _pick_cut(
@@ -188,7 +188,8 @@ def split_document(doc: Document, cfg: SplitConfig = SplitConfig()) -> list[Docu
     document of at most 1.5x the target is returned unchanged.
     """
     target = cfg.target_tokens
-    limit = int(1.5 * target)
+    # 1.5x in integers: exact for any target, where a float overflows.
+    limit = target + target // 2
     # str.split and _TOKEN_RE's \S share one whitespace rule (str.isspace),
     # so the count decides; only a document to cut needs token spans.
     if len(doc.text.split()) <= limit:

@@ -17,10 +17,13 @@ processed in the order given. Every stage runs in the calling process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
-from .corpus import Corpus, check_object, read_json_input, read_jsonl
+from .corpus import (
+    Corpus, check_object, check_settings, check_value, read_json_input, read_jsonl, setting,
+    settings,
+)
 from .dedup import DedupConfig, DedupRegistry, dedup_pass
 from .errors import ConfigError
 from .langid import LangFilterConfig, filter_language
@@ -41,37 +44,15 @@ from .quality import (
 )
 from .report import PipelineReport, StageReport, run_stage
 
-# The keys of each config section and the JSON type of each value.
-_SECTIONS: dict[str, dict[str, type]] = {
-    "lang": {"enabled": bool, "threshold": float, "ranges": list},
-    "normalize": {"enabled": bool, "charmap": str},
-    "quality": {
-        "enabled": bool,
-        "stopword_threshold": float,
-        "flagged_threshold": float,
-        "stopwords": str,
-        "flagged": str,
-        "min_tokens": int,
-    },
-    "pii": {"enabled": bool, "rules": str},
-    "dedup": {
-        "enabled": bool,
-        "mode": str,
-        "hamming_threshold": int,
-        "shingle_width": int,
-        "per_source": bool,
-        "overall": bool,
-        "lines": bool,
-    },
-    "split": {"enabled": bool, "target_tokens": int, "sentence_end_chars": str},
-}
-# The top-level keys: one object per section, and "workers" (reserved:
-# accepted and checked, no effect).
-_TOP_LEVEL = {"workers": (int, type(None)), **dict.fromkeys(_SECTIONS, dict)}
+# The config keys read by hand, with their JSON types: lang's ranges and
+# the paths of files to load. Every other key is a ``setting``.
+_BY_HAND = {"lang": {"ranges": list}, "normalize": {"charmap": str},
+            "quality": {"stopwords": str, "flagged": str}, "pii": {"rules": str}}
 
 
-def _pick(section: dict, *keys: str) -> dict:
-    return {k: section[k] for k in keys if k in section}
+def _pick(section: dict, config_cls) -> dict:
+    """The keys of ``section`` that set a field of ``config_cls``."""
+    return {k: section[k] for k in settings(config_cls) if k in section}
 
 
 def read_config(path: str | Path) -> dict:
@@ -93,39 +74,42 @@ def _resolve(path: str, base_dir: Path | None) -> Path:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    lang_enabled: bool = True
+    lang_enabled: bool = setting(True, bool)
     lang: LangFilterConfig = LangFilterConfig()
-    normalize_enabled: bool = True
+    normalize_enabled: bool = setting(True, bool)
     charmap: CharMapTable | None = None
-    quality_enabled: bool = True
+    quality_enabled: bool = setting(True, bool)
     quality: QualityConfig | None = None
-    pii_enabled: bool = True
+    pii_enabled: bool = setting(True, bool)
     pii_rules: PiiRuleSet | None = None
-    dedup_enabled: bool = True
+    dedup_enabled: bool = setting(True, bool)
     dedup: DedupConfig = DedupConfig()
-    split_enabled: bool = True
+    split_enabled: bool = setting(True, bool)
     split: SplitConfig = SplitConfig()
-    workers: int | None = None  # reserved: accepted and checked, no effect
+    workers: int | None = setting(None, (int, type(None)), lo=1)  # reserved: checked, no effect
 
     def __post_init__(self):
-        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
-            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        check_settings(self)
+        none = type(None)
+        for name, kind in (("lang", LangFilterConfig), ("charmap", (CharMapTable, none)),
+                           ("quality", (QualityConfig, none)), ("pii_rules", (PiiRuleSet, none)),
+                           ("dedup", DedupConfig), ("split", SplitConfig)):
+            check_value(getattr(self, name), name, kind)
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "PipelineConfig":
-        norm, lang_sec, q_sec, pii_sec, d_sec, s_sec = (
-            check_object(data.get(name, {}), name, _SECTIONS[name])
-            for name in ("normalize", "lang", "quality", "pii", "dedup", "split")
-        )
-        check_object(data, "config", _TOP_LEVEL)
+        sections, top_level = _key_table()
+        sec = {name: check_object(data.get(name, {}), name, sections[name]) for name in sections}
+        check_object(data, "config", top_level)
+        lang_sec, norm, q_sec = sec["lang"], sec["normalize"], sec["quality"]
 
         charmap = None
         if "charmap" in norm:
             charmap = CharMapTable.from_json(_resolve(norm["charmap"], base_dir))
-        normalize_enabled = norm.get("enabled", True)
+        normalize_enabled = norm.get("enabled", cls.normalize_enabled)
         wordlist_table = (charmap or default_table()) if normalize_enabled else None
 
-        lang_kwargs = _pick(lang_sec, "threshold")
+        lang_kwargs = _pick(lang_sec, LangFilterConfig)
         if "ranges" in lang_sec:
             try:
                 lang_kwargs["script_ranges"] = tuple(
@@ -135,34 +119,42 @@ class PipelineConfig:
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad lang 'ranges': {exc}") from exc
 
-        q_kwargs = _pick(q_sec, "stopword_threshold", "flagged_threshold", "min_tokens")
+        q_kwargs = _pick(q_sec, QualityConfig)
         for key in ("stopwords", "flagged"):
             if key in q_sec:
                 q_kwargs[key] = load_wordlist(_resolve(q_sec[key], base_dir), wordlist_table)
 
         pii_rules = None
-        if "rules" in pii_sec:
-            pii_rules = PiiRuleSet.from_json(_resolve(pii_sec["rules"], base_dir))
+        if "rules" in sec["pii"]:
+            pii_rules = PiiRuleSet.from_json(_resolve(sec["pii"]["rules"], base_dir))
 
         return cls(
-            lang_enabled=lang_sec.get("enabled", True),
             lang=LangFilterConfig(**lang_kwargs),
-            normalize_enabled=normalize_enabled,
             charmap=charmap,
-            quality_enabled=q_sec.get("enabled", True),
             quality=QualityConfig(**q_kwargs) if q_kwargs else None,
-            pii_enabled=pii_sec.get("enabled", True),
             pii_rules=pii_rules,
-            dedup_enabled=d_sec.get("enabled", True),
-            dedup=DedupConfig(**{k: v for k, v in d_sec.items() if k != "enabled"}),
-            split_enabled=s_sec.get("enabled", True),
-            split=SplitConfig(**_pick(s_sec, "target_tokens", "sentence_end_chars")),
+            dedup=DedupConfig(**_pick(sec["dedup"], DedupConfig)),
+            split=SplitConfig(**_pick(sec["split"], SplitConfig)),
             workers=data.get("workers"),
+            **{f"{name}_enabled": s["enabled"] for name, s in sec.items() if "enabled" in s},
         )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(read_config(path), base_dir=Path(path).parent)
+
+
+@cache
+def _key_table() -> tuple[dict[str, dict], dict]:
+    """The keys of each config section, and the top-level keys (one object
+    per section and "workers"), each with the JSON type of its value."""
+    top = settings(PipelineConfig)
+    sections = {k.removesuffix("_enabled"): {"enabled": top[k]} for k in top if k != "workers"}
+    for config_cls in (LangFilterConfig, QualityConfig, DedupConfig, SplitConfig):
+        sections[config_cls.SECTION].update(settings(config_cls))
+    for section, keys in _BY_HAND.items():
+        sections[section].update(keys)
+    return sections, {"workers": top["workers"], **dict.fromkeys(sections, dict)}
 
 
 def ingest(paths: list[str | Path]) -> tuple[Corpus, StageReport]:

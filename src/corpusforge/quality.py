@@ -22,7 +22,7 @@ from pathlib import Path
 
 # Not called here: perfbench/tracing.py wraps pmap under this name.
 from ._parallel import pmap  # noqa: F401
-from .corpus import Corpus, check_object, read_input, read_json_input
+from .corpus import Corpus, check_object, check_settings, read_input, read_json_input, setting
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, rewrite_texts, run_stage
 
@@ -67,33 +67,25 @@ def default_stopwords() -> frozenset[str]:
 
 @dataclass(frozen=True)
 class QualityConfig:
-    stopword_threshold: float = 0.1
-    flagged_threshold: float = 0.025
+    SECTION = "quality"
+    stopword_threshold: float = setting(0.1, float, 0, 1)
+    flagged_threshold: float = setting(0.025, float, 0, 1)
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
     flagged: frozenset[str] = frozenset()
-    min_tokens: int = 1
+    min_tokens: int = setting(1, int, lo=0)
 
     def __post_init__(self):
-        for name in ("stopword_threshold", "flagged_threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.min_tokens < 0:
-            raise ConfigError(f"min_tokens must be >= 0, got {self.min_tokens}")
+        check_settings(self, self.SECTION)
+        for name in ("stopwords", "flagged"):
+            words = getattr(self, name)
+            if not isinstance(words, frozenset) or not all(isinstance(w, str) for w in words):
+                raise ConfigError(f"'quality.{name}' must be a frozenset of strings, got {words!r}")
 
 
 def _ratio(tokens: list[str], words: frozenset[str]) -> float:
     if not tokens:
         return 0.0
     return sum(1 for t in tokens if t in words) / len(tokens)
-
-
-def stopword_ratio(text: str, stopwords: frozenset[str]) -> float:
-    return _ratio(text.lower().split(), stopwords)
-
-
-def flagged_ratio(text: str, flagged: frozenset[str]) -> float:
-    return _ratio(text.lower().split(), flagged)
 
 
 def _check_quality(text: str, cfg: QualityConfig) -> str | None:

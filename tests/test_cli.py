@@ -6,6 +6,7 @@ import json
 import os
 import random
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -397,6 +398,18 @@ def test_split_command(tmp_path: Path):
     out = tmp_path / "o.jsonl"
     assert _forge("split", "--target", "10", "--in", str(src), "--out", str(out)) == 0
     assert [d.token_count for d in read_jsonl(out)] == [10] * 10
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_split_target_past_float_range_leaves_documents_whole(tmp_path: Path, route: str):
+    # 1.5 * target overflowed a float.
+    src = _write(tmp_path / "in.jsonl", [Document(id="d", source="s", text=" ".join(["ل"] * 100))])
+    out = tmp_path / "o.jsonl"
+    target = "1" + "0" * 400
+    (tmp_path / "c.json").write_text(f'{{"split": {{"target_tokens": {target}}}}}', encoding="utf-8")
+    how = ["--target", target] if route == "flag" else ["--config", str(tmp_path / "c.json")]
+    assert _forge("split", *how, "--in", str(src), "--out", str(out)) == 0
+    assert read_jsonl(out).docs == read_jsonl(src).docs
 
 
 def _chain(*stages):
@@ -1039,6 +1052,35 @@ def test_unreadable_input_file_is_named_and_exits_2_or_3(
     out, err = capsys.readouterr()
     assert named.format(bad=bad) in err and "Traceback" not in err
     assert out == "" and sorted(tmp_path.iterdir()) == before
+
+
+# Where a file holds an integer literal too long to convert to int: the
+# argv, the exit code, and the file's name in bad.json.
+HUGE_INT_CASES = [
+    ("config", ["run", "--config", "{bad}", *_IO], 2, '{{"workers": {n}}}'),
+    ("corpus", ["ingest", "--in", "{bad}", "--out", "{d}/o.jsonl"], 3,
+     '{{"id": "a", "text": "x", "extra": {n}}}\n'),
+    ("manifest", ["compare", "--manifest", "{bad}"], 2, '{{"sets": [], "smoothing": {n}}}'),
+    ("report", ["report", "{bad}"], 3, '{{"sources": {n}}}'),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+                    reason="this Python converts integer literals of any length")
+@pytest.mark.parametrize("argv,code,content", [c[1:] for c in HUGE_INT_CASES],
+                         ids=[c[0] for c in HUGE_INT_CASES])
+def test_integer_literal_past_the_digit_limit_is_invalid_json(
+    corpus_file: Path, tmp_path: Path, capsys, argv, code, content
+):
+    # json raises a plain ValueError here, which was a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_text(content.format(n="7" * (sys.get_int_max_str_digits() + 1)), encoding="utf-8")
+    assert _forge(*(a.format(bad=bad, corpus=corpus_file, d=tmp_path) for a in argv)) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert "invalid JSON" in err or "not valid JSON" in err
+    if argv[0] == "ingest":
+        assert "line 1" in err
 
 
 # ----------------------------------------------------------------- logging

@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpusforge.corpus import Corpus, Document, write_jsonl
 from corpusforge.dedup import DedupConfig
 from corpusforge.errors import ConfigError, CorpusError
-from corpusforge.pipeline import PipelineConfig, ingest, run_pipeline
+from corpusforge.langid import LangFilterConfig
+from corpusforge.normalize import SplitConfig
+from corpusforge.pipeline import PipelineConfig, _key_table, ingest, run_pipeline
+from corpusforge.quality import QualityConfig
 
 STOP = "کا کی کے کو نے سے پر ہے ہیں اور".split()
 CONTENT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت".split()
@@ -234,6 +239,106 @@ def test_bad_workers_is_config_error_without_a_pool(workers):
     corpus = Corpus([Document(id="a", source="s", text=_urdu(40))])
     with pytest.raises(ConfigError, match="workers"):
         run_pipeline(corpus, PipelineConfig(dedup=DedupConfig(mode="exact"), workers=workers))
+
+
+def test_config_file_keys():
+    # Each key of a setting is its field's name: renaming the field renames the key.
+    sections, top_level = _key_table()
+    assert {name: list(keys) for name, keys in sections.items()} == {
+        "lang": ["enabled", "threshold", "ranges"],
+        "normalize": ["enabled", "charmap"],
+        "quality": ["enabled", "stopword_threshold", "flagged_threshold", "min_tokens",
+                    "stopwords", "flagged"],
+        "pii": ["enabled", "rules"],
+        "dedup": ["enabled", "mode", "hamming_threshold", "shingle_width", "per_source",
+                  "overall", "lines"],
+        "split": ["enabled", "target_tokens", "sentence_end_chars"],
+    }
+    assert list(top_level) == ["workers", *sections]
+
+
+# Library values a config file could not give, each once accepted or a raw
+# TypeError.
+LIBRARY_CASES = [
+    (SplitConfig, "target_tokens", 2.5),  # cut 2,000 tokens into 1,000 chunks
+    (QualityConfig, "stopwords", "the cat"),  # matched tokens as substrings
+    (QualityConfig, "min_tokens", "3"),
+    (LangFilterConfig, "script_ranges", [1]),
+    (LangFilterConfig, "script_ranges", ((0x41, 0x5A, 0x61),)),
+    (DedupConfig, "per_source", "no"),
+    (PipelineConfig, "split", 5),
+    (PipelineConfig, "lang_enabled", 1),
+]
+
+
+@pytest.mark.parametrize("cls,key,value", LIBRARY_CASES,
+                         ids=[f"{c.__name__}.{k}={v!r}" for c, k, v in LIBRARY_CASES])
+def test_library_config_refuses_a_wrong_typed_value(cls, key, value):
+    with pytest.raises(ConfigError, match=key):
+        cls(**{key: value})
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: DedupConfig(shingle_width=65),
+     "'dedup.shingle_width' must be an integer in [1, 64], got 65"),
+    (lambda: DedupConfig(mode="fuzzy"), "'dedup.mode' must be 'exact' or 'near', got 'fuzzy'"),
+    (lambda: LangFilterConfig(threshold=float("nan")),
+     "'lang.threshold' must be a number in [0, 1], got nan"),
+    (lambda: QualityConfig(min_tokens=-1), "'quality.min_tokens' must be an integer >= 0, got -1"),
+    (lambda: PipelineConfig(workers=0), "'workers' must be an integer >= 1 or null, got 0"),
+    (lambda: PipelineConfig(quality=5), "'quality' must be a QualityConfig or null, got 5"),
+], ids=["bounds", "choices", "nan", "lower-bound", "nullable", "sub-config"])
+def test_setting_error_names_section_and_key(make, message):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message
+
+
+# Any JSON value, most often a scalar (every setting is one), and the
+# shapes of the fields no config file sets directly: tuples of codepoint
+# pairs and frozensets of strings.
+JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.integers(-10**400, 10**400),
+    st.floats(), st.floats(0, 1), st.text(max_size=6), st.sampled_from(["exact", "near"]),
+)
+ANY_VALUE = st.one_of(
+    JSON_SCALAR,
+    JSON_SCALAR,
+    st.recursive(
+        JSON_SCALAR,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 0x10FFFF), st.integers(0, 0x10FFFF)).map(sorted).map(tuple),
+        max_size=2,
+    ).map(tuple),
+    st.frozensets(st.text(max_size=4), max_size=4),
+)
+CONFIG_FIELDS = [
+    (cls, f.name)
+    for cls in (LangFilterConfig, QualityConfig, DedupConfig, SplitConfig, PipelineConfig)
+    for f in fields(cls)
+]
+SMALL_CORPUS = Corpus([
+    Document(id="a", source="s", text=_urdu(40)),
+    Document(id="b", source="t", text=_urdu(40)),
+    Document(id="c", source="s", text=_urdu(300) + "\n\n" + _urdu(30)),
+    Document(id="d", source="s", text="english words only here"),
+])
+
+
+@pytest.mark.parametrize("cls,name", CONFIG_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in CONFIG_FIELDS])
+@settings(max_examples=50, deadline=None)
+@given(value=ANY_VALUE)
+def test_any_value_of_a_config_field_is_refused_or_runs(cls, name, value):
+    try:
+        cfg = cls(**{name: value})
+    except ConfigError:
+        return
+    if cls is not PipelineConfig:
+        cfg = PipelineConfig(**{cls.SECTION: cfg})
+    run_pipeline(SMALL_CORPUS, cfg)
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path: Path):

@@ -16,14 +16,14 @@ from corpusforge.quality import (
     PiiRule,
     PiiRuleSet,
     QualityConfig,
+    _check_quality,
+    _ratio,
     default_pii_rules,
     default_stopwords,
     filter_quality,
-    flagged_ratio,
     load_wordlist,
     scrub_corpus_pii,
     scrub_pii,
-    stopword_ratio,
 )
 
 STOP = "کا کی کے کو نے سے پر ہے ہیں اور".split()
@@ -43,19 +43,23 @@ def test_fixture_words_really_are_stopwords():
 
 def test_stopword_ratio_worked_example():
     stops = frozenset(STOP)
-    assert stopword_ratio(_text(3, 27), stops) == pytest.approx(3 / 30)
-    assert stopword_ratio("", stops) == 0.0
-    assert stopword_ratio("کتاب", frozenset()) == 0.0
+    assert _ratio(_text(3, 27).split(), stops) == pytest.approx(3 / 30)
+    assert _ratio([], stops) == 0.0
+    assert _ratio(["کتاب"], frozenset()) == 0.0
 
 
 def test_ratio_is_case_insensitive():
-    assert stopword_ratio("The THE the", frozenset(["the"])) == 1.0
-    assert flagged_ratio("BaD bad", frozenset(["bad"])) == 1.0
+    # Case-sensitive, the stopword ratio would be 1/3 (a drop) and the
+    # flagged ratio 1/2 (a keep).
+    stops = QualityConfig(stopword_threshold=1.0, stopwords=frozenset(["the"]))
+    assert _check_quality("The THE the", stops) is None
+    flagged = QualityConfig(stopwords=frozenset(), flagged=frozenset(["bad"]), flagged_threshold=0.5)
+    assert _check_quality("BaD bad", flagged) == REASON_FLAGGED_HIGH
 
 
 def test_flagged_ratio_worked_example():
     flagged = frozenset(["فحش"])
-    assert flagged_ratio(_text(0, 39) + " فحش", flagged) == pytest.approx(1 / 40)
+    assert _ratio((_text(0, 39) + " فحش").split(), flagged) == pytest.approx(1 / 40)
 
 
 def _corpus(texts):
@@ -135,8 +139,7 @@ def test_quality_config_validation():
 @given(st.text(alphabet="کتاب اور ہے x ", max_size=60))
 def test_ratios_bounded(text):
     stops = default_stopwords()
-    assert 0.0 <= stopword_ratio(text, stops) <= 1.0
-    assert 0.0 <= flagged_ratio(text, stops) <= 1.0
+    assert 0.0 <= _ratio(text.lower().split(), stops) <= 1.0
 
 
 def test_load_wordlist(tmp_path: Path):
