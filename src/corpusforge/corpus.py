@@ -129,7 +129,19 @@ def check_value(value, key: str, kind, lo=None, hi=None, choices=None, error=Con
             for k in kinds
         )
     if not ok:
-        raise error(f"{key!r} must be {names}, got {value!r}")
+        raise error(f"{key!r} must be {names}, got {shown(value)}")
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message. An int of more than 256 bits
+    is named by its size instead, and a value whose ``repr`` meets an int
+    too long to convert (a ValueError) by its type."""
+    if isinstance(value, int) and value.bit_length() > 256:
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an integer too long to show"
 
 
 def setting(default, kind, lo=None, hi=None, choices=None):
@@ -278,7 +290,8 @@ def iter_jsonl(
                     f"{path}: line {lineno} (byte offset {line_offset}): "
                     "expected a JSON object"
                 )
-            doc = _doc_from_record(obj, path, lineno, source_default)
+            # Strict UTF-8 holds no surrogate: only a \u escape brings one.
+            doc = _doc_from_record(obj, path, lineno, source_default, b"\\u" in stripped)
             if doc.id in seen:
                 first_path, first = seen[doc.id]
                 # By identity: a file given twice is read as two inputs.
@@ -294,7 +307,11 @@ def iter_jsonl(
             yield doc
 
 
-def _doc_from_record(obj: dict, path: Path, lineno: int, source_default: str) -> Document:
+def _doc_from_record(
+    obj: dict, path: Path, lineno: int, source_default: str, escaped: bool
+) -> Document:
+    """The Document of a parsed line; ``escaped`` says whether the line
+    may hold a surrogate, which only a JSON ``\\u`` escape writes."""
     where = f"{path}: line {lineno}"
     doc_id = obj.get("id")
     text = obj.get("text")
@@ -310,7 +327,8 @@ def _doc_from_record(obj: dict, path: Path, lineno: int, source_default: str) ->
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
         raise CorpusError(f"{where}: 'meta' must be a string-to-string map")
-    text = _strip_surrogates(text)
+    if escaped:
+        text = _strip_surrogates(text)
     return Document(id=doc_id, source=source, text=text, meta=dict(meta))
 
 

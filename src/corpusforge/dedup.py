@@ -8,8 +8,19 @@ of the same content's character 4-shingles, each hashed by simple
 tabulation (Patrascu & Thorup, JACM 2012): every character maps to 8
 bytes from a keyed blake2b, a shingle's hash XORs its characters' bytes,
 each rotated by its position, and a bit is set when most shingle hashes
-set it. Near mode drops fingerprint-equal documents and documents within
-a small Hamming distance; a probe that misses the equal lookup takes the
+set it. ``simhash`` builds the hashes byte-sliced, with no Python work
+per character: ``codecs.charmap_encode`` turns the text into one-byte
+indices into an alphabet of up to 254 characters seen so far, and byte
+column k of every shingle hash is the XOR over shingle positions j of
+one ``bytes.translate`` of the indices from j on, through a 256-byte
+table of byte k of each character's bytes rotated for position j. The
+vote counts each bit of a column with a masked ``int.bit_count``. The
+alphabet grows when a text brings new characters, and a text of more
+distinct characters than one alphabet holds is hashed in pages, whose
+columns XOR.
+
+Near mode drops fingerprint-equal documents and documents within a
+small Hamming distance; a probe that misses the equal lookup takes the
 earliest kept fingerprint within the threshold. At thresholds 1-7 it
 finds it through a pigeonhole index of fingerprint blocks (see
 ``DedupRegistry``); above 7 it compares the fingerprint with every kept
@@ -43,6 +54,7 @@ is missing.
 
 from __future__ import annotations
 
+import codecs
 import os
 from array import array
 from collections import defaultdict
@@ -136,6 +148,113 @@ class _CharTable(dict):
 
 
 _CHAR_BYTES = _CharTable()
+# A character's one-byte index into an alphabet: slot 0 is NUL, which
+# ``codecs.charmap_build`` needs there, and slots 1.._CAPACITY hold the
+# alphabet's other characters. The last slot never holds a character,
+# so its table bytes are always 0.
+_SLOTS = 256
+_ZERO_SLOT = _SLOTS - 1
+_CAPACITY = _SLOTS - 2
+# charmap_build's mark of a slot that no character encodes to.
+_UNMAPPED = "\ufffe"
+
+
+class _Alphabet:
+    """Up to ``_CAPACITY`` characters besides NUL, each with a one-byte
+    index, and per shingle position j the 8 byte tables of their table
+    values rotated left by ``13 * j % 64``: table k maps an index to byte
+    k of its character's rotated value, and an empty slot to 0.
+
+    A character outside the alphabet fails to encode, or encodes to the
+    zero slot under the ``_OUTSIDE`` error handler. The tables of each
+    position are built on first use and never change.
+    """
+
+    def __init__(self, chars: frozenset[str]):
+        self.chars = chars
+        # NUL holds slot 0 even when it is no member; its bytes are then 0.
+        decoding = "\0" + "".join(sorted(chars - {"\0"}))
+        mapping = codecs.charmap_build(decoding.ljust(_SLOTS, _UNMAPPED))
+        if type(mapping) is dict or _UNMAPPED in chars:
+            # A dict from charmap_build (an astral member) maps _UNMAPPED to
+            # an empty slot, and its fast map cannot encode _UNMAPPED.
+            mapping = {ord(c): i for i, c in enumerate(decoding)}
+        self.mapping = mapping
+        values = [_CHAR_BYTES["\0"] if "\0" in chars else bytes(8)]
+        values += map(_CHAR_BYTES.__getitem__, decoding[1:])
+        # One 64-bit lane per slot, slot 0 in the top lane.
+        self._lanes = int.from_bytes(b"".join(values).ljust(8 * _SLOTS, b"\0"), "big")
+        self._tables: dict[int, list[bytes]] = {}
+
+    def tables(self, j: int) -> list[bytes]:
+        """The 8 byte tables of shingle position ``j``."""
+        tables = self._tables.get(j)
+        if tables is None:
+            r, lanes = _ROTATIONS[j], self._lanes
+            if r:
+                # Each lane's top r bits wrap to its low r bits: the first
+                # mask drops what the left shift carried into the lane
+                # above, the second what the right shift brought down.
+                low = int.from_bytes(((1 << r) - 1).to_bytes(8, "big") * _SLOTS, "big")
+                high = low ^ (1 << 64 * _SLOTS) - 1
+                lanes = (lanes << r & high) | (lanes >> 64 - r & low)
+            joined = lanes.to_bytes(8 * _SLOTS, "big")
+            tables = self._tables[j] = [joined[k::8] for k in range(8)]
+        return tables
+
+
+# The error handler that encodes a character outside a page's alphabet
+# to the zero slot, registered when a text is first paged.
+_OUTSIDE = "corpusforge.simhash-outside"
+
+
+def _zero_slots(error: UnicodeEncodeError) -> tuple[bytes, int]:
+    return bytes([_ZERO_SLOT]) * (error.end - error.start), error.end
+
+
+def _fits(chars: frozenset[str]) -> bool:
+    return len(chars - {"\0"}) <= _CAPACITY
+
+
+# The alphabet that keys texts, or None before the first near-mode key.
+# A text that brings new characters replaces it; it never changes.
+_alphabet: _Alphabet | None = None
+
+
+def _encode(content: str) -> list[tuple[bytes, _Alphabet]]:
+    """The text's characters as one-byte indices, and their alphabet.
+
+    In the common case that is one pair, from the shared alphabet. A text
+    with characters the alphabet lacks grows it, or rebuilds it from the
+    text's characters alone when the two do not fit together. A text that
+    does not fit in one alphabet is cut into pages, one pair each: every
+    character is a member of exactly one page and encodes to a slot of
+    zero bytes in the others (NUL, always slot 0, is a member of the
+    first).
+    """
+    global _alphabet
+    alphabet = _alphabet
+    # NUL always encodes to slot 0, so it is checked for by hand.
+    if alphabet is not None and ("\0" in alphabet.chars or "\0" not in content):
+        try:
+            return [(codecs.charmap_encode(content, "strict", alphabet.mapping)[0], alphabet)]
+        except UnicodeEncodeError:
+            pass
+    seen = frozenset(content)
+    if _fits(seen):
+        grown = seen | alphabet.chars if alphabet is not None else seen
+        alphabet = _alphabet = _Alphabet(grown if _fits(grown) else seen)
+        return [(codecs.charmap_encode(content, "strict", alphabet.mapping)[0], alphabet)]
+    others = sorted(seen - {"\0"})
+    codecs.register_error(_OUTSIDE, _zero_slots)
+    pages = []
+    for start in range(0, len(others), _CAPACITY):
+        chars = frozenset(others[start : start + _CAPACITY])
+        if not start:
+            chars |= seen & {"\0"}
+        page = _Alphabet(chars)
+        pages.append((codecs.charmap_encode(content, _OUTSIDE, page.mapping)[0], page))
+    return pages
 
 
 def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> int:
@@ -146,41 +265,39 @@ def simhash(text: str, cfg: DedupConfig = DedupConfig()) -> int:
     of character i + j, as a 64-bit int rotated left by ``13 * j % 64``.
     Whitespace-only text maps to 0. Text shorter than the shingle width
     is hashed as one shingle.
+
+    The hashes are built byte column by byte column: column k's byte of
+    shingle i is the XOR over j of table k of position j at character
+    i + j, so for each j one ``bytes.translate`` of the text's indices,
+    shifted by j, gives every shingle's term. A paged text XORs the
+    columns of its pages, as each character adds its bytes in one page
+    and zeros in the rest.
     """
     content = "".join(text.split())
     if not content:
         return 0
     w = min(cfg.shingle_width, len(content))
     n = len(content) - w + 1
-    # One 64-bit lane per character, character 0 in the top lane.
-    lanes = int.from_bytes(b"".join(map(_CHAR_BYTES.__getitem__, content)), "big")
-    full = (1 << 64 * n) - 1
-    # Term j holds, in lane i, character i + j (the j-th of shingle i):
-    # the top n lanes, once the last w - 1 - j characters are shifted out.
-    acc = lanes >> 64 * (w - 1) & full
-    for j in range(1, w):
-        r = _ROTATIONS[j]
-        term = lanes >> 64 * (w - 1 - j) & full
-        # Each lane's top r bits wrap to its bottom: the first mask drops
-        # what a shift carried into the lane above, the second what it
-        # brought down from the lane above.
-        high = int.from_bytes(((1 << 64) - (1 << r)).to_bytes(8, "big") * n, "big")
-        acc ^= (term << r & high) | (term >> 64 - r & (full ^ high))
-    return _bit_vote(acc.to_bytes(8 * n, "big"), n)
+    columns = [0] * 8
+    for indices, alphabet in _encode(content):
+        for j in range(w):
+            window = indices[j : j + n]
+            for k, table in enumerate(alphabet.tables(j)):
+                columns[k] ^= int.from_bytes(window.translate(table), "big")
+    return _bit_vote(columns, n)
 
 
-def _bit_vote(joined: bytes, n: int) -> int:
-    """The bitwise majority of ``n`` joined 8-byte digests, as a 64-bit
-    int: a bit is set when more than half of the digests set it, so a
+def _bit_vote(columns: list[int], n: int) -> int:
+    """The bitwise majority of ``n`` 64-bit values, given as 8 columns:
+    column k holds byte k (from the top) of each value, one byte per
+    value. A bit is set when more than half of the values set it, so a
     tie leaves it clear."""
     # Mask j holds bit j (from the top) of each of n bytes.
     top = int.from_bytes(b"\x80" * n, "big")
     masks = [top >> j for j in range(8)]
     bits = 0
-    for k in range(8):
-        # Byte k of every digest: bit j of this column is bit 8k+j of the
-        # vote, counted from the top.
-        column = int.from_bytes(joined[k::8], "big")
+    for column in columns:
+        # Bit j of column k is bit 8k+j of the vote, counted from the top.
         for mask in masks:
             bits = bits << 1 | (2 * (column & mask).bit_count() > n)
     return bits

@@ -15,10 +15,19 @@ lacks passes through ``translate`` unchanged, so a result that is not
 ASCII holds exactly the codepoints to add before translating again.
 Splitting the result gives each classifiable token's marks, and each
 distinct mark string is classified once, however often it occurs.
+
+Most documents need no ``translate``: a regex pre-check, built once per
+set of script ranges, looks for a character that could mark an "O",
+one that is neither whitespace, nor ASCII punctuation or control, nor in
+the script ranges. When there is none, every classifiable token is all
+target, so the score is 1.0 if the text holds a target letter or digit
+and 0.0 if not. Ranges that cover more than 65,536 codepoints get no
+pre-check, which keeps its letter class cheap to build.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -26,7 +35,7 @@ from functools import cache
 
 # Not called here: perfbench/tracing.py wraps pmap under this name.
 from ._parallel import pmap  # noqa: F401
-from .corpus import Corpus, check_settings, setting
+from .corpus import Corpus, check_settings, setting, shown
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, run_stage
 
@@ -55,7 +64,7 @@ class LangFilterConfig:
             and all(type(cp) is int and 0 <= cp <= 0x10FFFF for cp in r) for r in ranges
         )):
             raise ConfigError(f"'lang.script_ranges' must be a non-empty tuple of "
-                              f"(lo, hi) codepoint pairs, got {ranges!r}")
+                              f"(lo, hi) codepoint pairs, got {shown(ranges)}")
         prev_hi = -1
         for lo, hi in sorted(ranges):
             if lo > hi:
@@ -75,6 +84,36 @@ def _mark(cp: int, ranges: tuple[tuple[int, int], ...]) -> str | None:
     return None
 
 
+# The most codepoints that script ranges may cover and get a pre-check.
+_PRECHECK_MAX = 0x10000
+
+
+def _char_class(ranges, head: str = "") -> str:
+    """A regex character class of ``head`` and inclusive codepoint ranges."""
+    return "[" + head + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in ranges) + "]"
+
+
+@cache
+def _precheck(ranges: tuple[tuple[int, int], ...]) -> tuple[re.Pattern, re.Pattern | None] | None:
+    """The pre-check of ``ranges``: a regex for a character that could
+    mark an "O", and one for a target letter or digit (None when the
+    ranges hold none); None when the ranges are too wide."""
+    if sum(hi - lo + 1 for lo, hi in ranges) > _PRECHECK_MAX:
+        return None
+    # Whitespace, ASCII other than letters and digits, and the ranges.
+    not_other = ((0x00, 0x2F), (0x3A, 0x40), (0x5B, 0x60), (0x7B, 0x7F), *ranges)
+    maybe_other = re.compile(_char_class(not_other, head="^\\s"))
+    runs: list[list[int]] = []
+    for lo, hi in sorted(ranges):
+        for cp in range(lo, hi + 1):
+            if _mark(cp, ranges) == "T":
+                if runs and runs[-1][1] == cp - 1:
+                    runs[-1][1] = cp
+                else:
+                    runs.append([cp, cp])
+    return maybe_other, re.compile(_char_class(runs)) if runs else None
+
+
 @cache
 def _script_table(ranges: tuple[tuple[int, int], ...]) -> dict[int, str | None]:
     """The ``str.translate`` map of ``ranges``, holding every codepoint seen
@@ -88,6 +127,11 @@ def score_language(text: str, cfg: LangFilterConfig = LangFilterConfig()) -> flo
     Returns 0.0 when no token is classifiable.
     """
     ranges = cfg.script_ranges
+    precheck = _precheck(ranges)
+    if precheck is not None and not precheck[0].search(text):
+        # No token holds an "O" mark.
+        target = precheck[1]
+        return 1.0 if target is not None and target.search(text) else 0.0
     table = _script_table(ranges)
     marks = text.translate(table)
     if not marks.isascii():

@@ -25,12 +25,17 @@ from pathlib import Path
 
 # Not called here: perfbench/tracing.py wraps pmap under this name.
 from ._parallel import pmap  # noqa: F401
-from .corpus import Corpus, Document, check_object, check_settings, read_json_input, setting
+from .corpus import (
+    Corpus, Document, check_object, check_settings, read_json_input, setting, shown,
+)
 from .errors import ConfigError
 from .report import StageReport, rewrite_texts, run_stage
 
 _CP_RE = re.compile(r"^U\+([0-9A-Fa-f]{4,6})$")
-_PUNCT_RUN_RE = re.compile(r"(.)\1{2,}")
+# A run of 3+ of one character that is neither a word character nor
+# whitespace: every punctuation mark but "_", which is one of \w.
+_PUNCT_RUN_RE = re.compile(r"([^\w\s])\1{2,}")
+_UNDERSCORE_RUN_RE = re.compile(r"_{3,}")
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -70,6 +75,17 @@ class CharMapTable:
     strip: frozenset[str]
 
     def __post_init__(self):
+        if not (isinstance(self.rules, tuple) and all(
+            isinstance(r, tuple) and len(r) == 2 and all(isinstance(x, str) for x in r)
+            for r in self.rules
+        )):
+            raise ConfigError("'charmap.rules' must be a tuple of (input, output) string "
+                              f"pairs, got {shown(self.rules)}")
+        if not (isinstance(self.strip, frozenset) and all(
+            isinstance(ch, str) and len(ch) == 1 for ch in self.strip
+        )):
+            raise ConfigError("'charmap.strip' must be a frozenset of single characters, "
+                              f"got {shown(self.strip)}")
         inputs = [src for src, _ in self.rules]
         for src, dst in self.rules:
             if not src:
@@ -142,7 +158,8 @@ def standardize(text: str, table: CharMapTable | None = None) -> str:
     if table.rules or table.strip:
         pattern, mapping = _compiled(table)
         text = pattern.sub(lambda m: mapping[m.group(0)], text)
-    return _PUNCT_RUN_RE.sub(_collapse_punct, text)
+    text = _PUNCT_RUN_RE.sub(_collapse_punct, text)
+    return _UNDERSCORE_RUN_RE.sub("_", text) if "___" in text else text
 
 
 @dataclass(frozen=True)

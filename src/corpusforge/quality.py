@@ -22,7 +22,9 @@ from pathlib import Path
 
 # Not called here: perfbench/tracing.py wraps pmap under this name.
 from ._parallel import pmap  # noqa: F401
-from .corpus import Corpus, check_object, check_settings, read_input, read_json_input, setting
+from .corpus import (
+    Corpus, check_object, check_settings, check_value, read_input, read_json_input, setting, shown,
+)
 from .errors import ConfigError
 from .report import StageReport, keep_or_drop, rewrite_texts, run_stage
 
@@ -79,7 +81,9 @@ class QualityConfig:
         for name in ("stopwords", "flagged"):
             words = getattr(self, name)
             if not isinstance(words, frozenset) or not all(isinstance(w, str) for w in words):
-                raise ConfigError(f"'quality.{name}' must be a frozenset of strings, got {words!r}")
+                raise ConfigError(
+                    f"'quality.{name}' must be a frozenset of strings, got {shown(words)}"
+                )
 
 
 def _ratio(tokens: list[str], words: frozenset[str]) -> float:
@@ -129,6 +133,8 @@ class PiiRule:
     replacement: str
 
     def __post_init__(self):
+        for key in ("name", "pattern", "replacement"):
+            check_value(getattr(self, key), f"pii.{key}", str)
         if not _NAME_RE.match(self.name):
             raise ConfigError(f"bad PII rule name {self.name!r}")
         if not _REPLACEMENT_RE.match(self.replacement):
@@ -155,6 +161,8 @@ class PiiRuleSet:
     rules: tuple[PiiRule, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.rules, tuple) and all(isinstance(r, PiiRule) for r in self.rules)):
+            raise ConfigError(f"'pii.rules' must be a tuple of PiiRule, got {shown(self.rules)}")
         names = [r.name for r in self.rules]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate PII rule names in {names}")

@@ -188,6 +188,21 @@ def test_strip_surrogates_matches_reference(text: str):
     assert _strip_surrogates(text) == _strip_surrogates_reference(text)
 
 
+@given(st.text(alphabet=_SURROGATE_MIX), st.booleans())
+@example("a\\ud800b", False)  # a backslash and "u" in the text itself
+def test_ingest_strips_surrogates_with_and_without_escapes(tmp_path_factory, text, escaped):
+    if escaped:
+        # Every non-ASCII character as a \u escape, lone surrogates too.
+        line = json.dumps({"id": "a", "text": text})
+    else:
+        # Raw UTF-8, which cannot hold a lone surrogate.
+        line = json.dumps({"id": "a", "text": _strip_surrogates_reference(text)}, ensure_ascii=False)
+    p = tmp_path_factory.mktemp("ingest") / "c.jsonl"
+    p.write_bytes(line.encode("utf-8") + b"\n")
+    # An escaped pair of surrogates parses as one astral character.
+    assert read_jsonl(p)[0].text == _strip_surrogates_reference(json.loads(line)["text"])
+
+
 def test_iter_jsonl_is_lazy(tmp_path: Path):
     p = tmp_path / "c.jsonl"
     p.write_text('{"id": "a", "text": "x"}\nbroken\n', encoding="utf-8")

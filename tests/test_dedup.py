@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,7 @@ def test_fingerprint_values_are_pinned(text, width, expected):
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
+@cache
 def _char_hash(char: str) -> int:
     """A character's table value: a keyed 8-byte blake2b of it."""
     key = b"simhash-tab-v1"
@@ -212,8 +214,8 @@ def _shingle_hash(shingle: str) -> int:
 
 
 def _reference_simhash(text: str, cfg: DedupConfig) -> int:
-    """The per-shingle loop: each shingle hashed on its own from freshly
-    computed table values, summed bit by bit over an n x 64 array."""
+    """The per-shingle loop: each shingle hashed on its own from its
+    characters' table values, summed bit by bit over an n x 64 array."""
     content = "".join(text.split())
     if not content:
         return 0
@@ -230,22 +232,100 @@ def _reference_simhash(text: str, cfg: DedupConfig) -> int:
     return int((bits_arr << _BIT_SHIFTS).sum())
 
 
-# Urdu, Latin, digits, whitespace (also non-ASCII), astral-plane letters
-# and a lone surrogate.
-_MIXED_CHARS = list("اب کتہے") + list("abZ19") + [" ", "\n", "\t", "\u3000", "𐌰", "𝐀", "😀", "\ud800"]
+def _int_simhash(text: str, cfg: DedupConfig) -> int:
+    """The whole-int kernel that ``simhash`` replaced: one 64-bit lane per
+    character, character 0 in the top lane, and every shingle's hash at
+    once as the XOR of w lane-wise rotated shifts of that int."""
+    content = "".join(text.split())
+    if not content:
+        return 0
+    w = min(cfg.shingle_width, len(content))
+    n = len(content) - w + 1
+    lanes = int.from_bytes(b"".join(_char_hash(c).to_bytes(8, "big") for c in content), "big")
+    full = (1 << 64 * n) - 1
+    acc = lanes >> 64 * (w - 1) & full
+    for j in range(1, w):
+        r = 13 * j % 64
+        term = lanes >> 64 * (w - 1 - j) & full
+        high = int.from_bytes(((1 << 64) - (1 << r)).to_bytes(8, "big") * n, "big")
+        acc ^= (term << r & high) | (term >> 64 - r & (full ^ high))
+    return _unpackbits_vote(acc.to_bytes(8 * n, "big"), n)
+
+
+# Urdu, Latin, digits, whitespace (also non-ASCII), astral-plane letters,
+# a lone surrogate, NUL, and U+FFFE, which charmap_build reads as "no
+# character".
+_MIXED_CHARS = list("اب کتہے") + list("abZ19") + [
+    " ", "\n", "\t", "\u3000", "𐌰", "𝐀", "😀", "\ud800", "\0", "\ufffe"]
+
+
+@st.composite
+def _wide_alphabet_texts(draw):
+    """A text of more distinct characters than one alphabet holds: 250 to
+    600 distinct BMP characters and a few of ``_MIXED_CHARS``, each once,
+    then some of them again, shuffled."""
+    rng = draw(st.randoms(use_true_random=False))
+    chars = [chr(cp) for cp in rng.sample(range(0x21, 0x3000), rng.randint(250, 600))]
+    chars += rng.sample(_MIXED_CHARS, rng.randrange(8))
+    chars += rng.choices(chars, k=rng.randrange(50))
+    rng.shuffle(chars)
+    return "".join(chars)
+
+
+_SIMHASH_TEXTS = st.one_of(
+    st.text(st.sampled_from(_MIXED_CHARS), max_size=14),
+    st.text(st.sampled_from(_MIXED_CHARS), min_size=40, max_size=200),
+    _wide_alphabet_texts(),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.one_of(
-        st.text(st.sampled_from(_MIXED_CHARS), max_size=14),
-        st.text(st.sampled_from(_MIXED_CHARS), min_size=40, max_size=200),
-    ),
-)
+@given(st.integers(min_value=1, max_value=64), _SIMHASH_TEXTS)
 def test_simhash_matches_per_shingle_reference(width, text):
     cfg = DedupConfig(shingle_width=width)
     assert simhash(text, cfg) == _reference_simhash(text, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.lists(_SIMHASH_TEXTS, min_size=1, max_size=5))
+def test_simhash_matches_the_int_kernel_over_a_sequence_of_calls(width, texts):
+    # From no alphabet, each call may grow, rebuild or page the last one's.
+    cfg = DedupConfig(shingle_width=width)
+    dedup._alphabet = None
+    assert [simhash(t, cfg) for t in texts] == [_int_simhash(t, cfg) for t in texts]
+
+
+def _distinct(start: int, n: int) -> str:
+    return "".join(map(chr, range(start, start + n)))
+
+
+def test_simhash_grows_rebuilds_and_pages_its_alphabet(monkeypatch):
+    monkeypatch.setattr(dedup, "_alphabet", None)
+    cfg = DedupConfig(shingle_width=5)
+
+    def keyed(text: str) -> frozenset[str] | None:
+        assert simhash(text, cfg) == _int_simhash(text, cfg)
+        return dedup._alphabet.chars
+
+    first, second, third = _distinct(0x600, 100), _distinct(0x4E00, 100), _distinct(0x3040, 90)
+    assert keyed(first * 2) == set(first)
+    # The same characters again: the alphabet is kept, not rebuilt.
+    alphabet = dedup._alphabet
+    assert keyed(first[::-1]) == set(first) and dedup._alphabet is alphabet
+    assert keyed(second + first[:10]) == set(first + second)
+    # 290 characters do not fit in one alphabet: rebuilt from the text's.
+    assert keyed(third + "۔") == set(third + "۔")
+    # NUL encodes to slot 0 even when it is no member, so only the check
+    # for it by hand finds it new.
+    assert keyed(third[:5] + "\0") == set(third + "۔\0")
+    # 600 distinct characters, NUL among them, go in three pages; the
+    # shared alphabet is left as it was.
+    assert keyed("\0" + _distinct(0x100, 600) + "\0") == set(third + "۔\0")
+    # An astral character makes the encoding map a dict, which must not
+    # take U+FFFE, the mark of an empty slot, for a member.
+    assert keyed("𐌰𐌱" + third) == set(third + "۔\0𐌰𐌱")
+    assert type(dedup._alphabet.mapping) is dict
+    assert keyed("\ufffe\ufffe𐌰") == set(third + "۔\0𐌰𐌱\ufffe")
 
 
 def _unpackbits_vote(joined: bytes, n: int) -> int:
@@ -278,7 +358,8 @@ def _digest_blocks(draw):
 @given(_digest_blocks())
 def test_bit_vote_matches_the_unpackbits_vote(block):
     joined, n = block
-    assert dedup._bit_vote(joined, n) == _unpackbits_vote(joined, n)
+    columns = [int.from_bytes(joined[k::8], "big") for k in range(8)]
+    assert dedup._bit_vote(columns, n) == _unpackbits_vote(joined, n)
 
 
 @pytest.mark.parametrize("text, width", [("ک", 4), ("اب ", 4), ("کتا", 4), ("𐌰𐌱", 3), ("ab", 8)])

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import unicodedata
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpusforge import langid
 from corpusforge.corpus import Corpus, Document
 from corpusforge.errors import ConfigError
 from corpusforge.langid import (
     DROP_BELOW_THRESHOLD,
+    URDU_SCRIPT_RANGES,
     LangFilterConfig,
     _script_table,
     filter_language,
@@ -238,3 +241,33 @@ def test_codepoints_first_seen_in_a_later_document():
     # Each text twice: first while its codepoints are unseen, then warm.
     for text in later + later:
         assert score_language(text, cfg) == _reference_score(text, cfg)
+
+
+# Texts that take the pre-check (target letters and digits, their marks,
+# ASCII and Urdu punctuation, whitespace) or may not (other letters and
+# digits, non-ASCII punctuation and symbols outside the ranges).
+_PRECHECK_CHARS = list("کتابہے") + ["\u064b"] + list("ﭐ۱۲") + list("،۔.-!") + _SPLIT_CHARS[:8]
+_PRECHECK_TEXTS = st.one_of(
+    st.text(st.sampled_from(_PRECHECK_CHARS), max_size=40),
+    st.text(st.sampled_from(_SCORING_CHARS + ["—", "©", "\u2040", "_"]), max_size=40),
+)
+# Ranges with no letter or digit give a pre-check with no target class.
+_PRECHECK_CFGS = _SCORING_CFGS + (LangFilterConfig(script_ranges=((0x2000, 0x206F),)),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PRECHECK_TEXTS, min_size=1, max_size=6))
+def test_precheck_matches_the_translate_path(texts):
+    for cfg in _PRECHECK_CFGS:
+        fast = [score_language(text, cfg) for text in texts]
+        with mock.patch.object(langid, "_precheck", lambda ranges: None):
+            assert [score_language(text, cfg) for text in texts] == fast
+
+
+def test_precheck_is_built_only_for_ranges_it_can_afford():
+    maybe_other, target = langid._precheck(URDU_SCRIPT_RANGES)
+    assert not maybe_other.search("کتاب، ہے۔ ۱۲ (\u064b) !?")
+    assert [maybe_other.search(ch) is not None for ch in "a1é—"] == [True] * 4
+    assert target.search("،۔ ۱") and not target.search("،۔ \u064b")
+    assert langid._precheck(((0x2000, 0x206F),))[1] is None
+    assert langid._precheck(((0x0000, 0x10000),)) is None

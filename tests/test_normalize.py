@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,31 @@ def test_punct_runs_collapsed():
     assert standardize("ہاں!!! نہیں!!") == "ہاں! نہیں!!"
     assert standardize("۔۔۔۔۔") == "۔"
     assert standardize("aaaa 1111") == "aaaa 1111"
+
+
+_ANY_RUN_RE = re.compile(r"(.)\1{2,}")
+
+
+def _reference_collapse(text: str) -> str:
+    """Every run of 3+ of one character (but newline) through one
+    callback, which collapses it when the character is punctuation."""
+    def collapse(m: re.Match) -> str:
+        return m.group(1) if unicodedata.category(m.group(1)).startswith("P") else m.group(0)
+
+    return _ANY_RUN_RE.sub(collapse, text)
+
+
+# Punctuation (ASCII, Urdu, "_" and U+203F, the connector marks in and
+# out of \w), symbols, a combining mark, ZWNJ, whitespace, letters, digits.
+_RUN_CHARS = list("!?.-۔؟،_\u203f") + list("+=$^©") + ["\u064b", "\u200c"] + list(" \t\n\u3000") + list(
+    "abک1۱")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_RUN_CHARS), st.integers(1, 5)), max_size=20))
+def test_punct_runs_match_the_any_character_run_reference(runs):
+    text = "".join(ch * n for ch, n in runs)
+    assert standardize(text, CharMapTable(rules=(), strip=frozenset())) == _reference_collapse(text)
 
 
 def test_standardize_idempotent_on_samples():

@@ -12,9 +12,9 @@ from corpusforge.corpus import Corpus, Document, write_jsonl
 from corpusforge.dedup import DedupConfig
 from corpusforge.errors import ConfigError, CorpusError
 from corpusforge.langid import LangFilterConfig
-from corpusforge.normalize import SplitConfig
+from corpusforge.normalize import CharMapTable, SplitConfig
 from corpusforge.pipeline import PipelineConfig, _key_table, ingest, run_pipeline
-from corpusforge.quality import QualityConfig
+from corpusforge.quality import PiiRule, PiiRuleSet, QualityConfig
 
 STOP = "کا کی کے کو نے سے پر ہے ہیں اور".split()
 CONTENT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت".split()
@@ -339,6 +339,34 @@ def test_any_value_of_a_config_field_is_refused_or_runs(cls, name, value):
     if cls is not PipelineConfig:
         cfg = PipelineConfig(**{cls.SECTION: cfg})
     run_pipeline(SMALL_CORPUS, cfg)
+
+
+_HUGE = 10**5000  # more digits than int converts to str
+
+
+@pytest.mark.parametrize("make, key", [
+    pytest.param(lambda: DedupConfig(hamming_threshold=_HUGE), "dedup.hamming_threshold", id="huge-int"),
+    pytest.param(lambda: SplitConfig(target_tokens=-_HUGE), "split.target_tokens", id="huge-negative"),
+    pytest.param(lambda: LangFilterConfig(script_ranges=((_HUGE, _HUGE),)), "lang.script_ranges",
+                 id="huge-in-tuple"),
+    pytest.param(lambda: QualityConfig(flagged=frozenset([_HUGE])), "quality.flagged",
+                 id="huge-in-set"),
+    pytest.param(lambda: PiiRuleSet(rules="abc"), "pii.rules", id="rules-str"),
+    pytest.param(lambda: PiiRuleSet(rules=(1,)), "pii.rules", id="rules-of-int"),
+    pytest.param(lambda: PiiRuleSet(rules=[PiiRule("A", "x", "<PII:A>")]), "pii.rules",
+                 id="rules-list"),
+    pytest.param(lambda: PiiRule(name=1, pattern="x", replacement="<PII:A>"), "pii.name",
+                 id="rule-name-int"),
+    pytest.param(lambda: CharMapTable(rules=5, strip=frozenset()), "charmap.rules", id="map-int"),
+    pytest.param(lambda: CharMapTable(rules=(("a",),), strip=frozenset()), "charmap.rules",
+                 id="map-not-pairs"),
+    pytest.param(lambda: CharMapTable(rules=(), strip="ab"), "charmap.strip", id="strip-str"),
+    pytest.param(lambda: CharMapTable(rules=(), strip=frozenset(["ab"])), "charmap.strip",
+                 id="strip-two-chars"),
+])
+def test_a_bad_library_value_is_a_config_error_naming_it(make, key):
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        make()
 
 
 def test_config_paths_resolve_relative_to_file(tmp_path: Path):
