@@ -95,12 +95,15 @@ class _StagedOutputs:
 
 
 def _check_distinct(paths: list[str]) -> None:
-    """Refuse two outputs on one path, before any work is done."""
+    """Refuse two outputs on one path, or an output path that is a
+    directory, before any work is done."""
     seen: set[Path] = set()
     for path in paths:
         resolved = Path(path).resolve()
         if resolved in seen:
             raise ConfigError(f"two outputs are given the same path {path!r}")
+        if resolved.is_dir():
+            raise ConfigError(f"output path {path!r} is a directory")
         seen.add(resolved)
 
 
@@ -163,14 +166,13 @@ def _cmd_corpus(args, staged) -> int:
     stage for ``run``) and write its outputs. The report lists those stages."""
     _check_distinct([p for p in (args.out, args.fps_out, args.report) if p not in (None, "-")])
     cfg = _load_cfg(args)
-    all_stages = tuple(_key_table()[0])  # in the order of the report's stages after ingest
     if args.stages is not None:
         stages = set(args.stages)
         if getattr(args, "split.target_tokens", None) is not None:
             stages.add("split")  # normalize --target N also splits
         if getattr(args, "no_pii", False):
             stages.discard("pii")
-        cfg = replace(cfg, **{f"{stage}_enabled": stage in stages for stage in all_stages})
+        cfg = replace(cfg, **{f"{stage}_enabled": stage in stages for stage in _key_table()[0]})
     if (args.fps_in or args.fps_out) and not cfg.dedup.overall:
         raise ConfigError(
             "--fps-in and --fps-out need the corpus-wide pass "
@@ -181,10 +183,9 @@ def _cmd_corpus(args, staged) -> int:
         registry.extend(*read_sidecar(args.fps_in, cfg.dedup.mode)[:2])
     seeded = len(registry)
     corpus, report = run_pipeline(_expand_inputs(args.inputs), cfg, registry=registry)
-    if args.stages is not None:
-        report.stages = [
-            rep for rep, stage in zip(report.stages, ("ingest", *all_stages)) if stage in stages
-        ]
+    if args.stages is not None:  # ingest's report is for forge ingest only
+        first = 0 if "ingest" in stages else 1
+        report.stages = [rep for rep in report.stages[first:] if rep.enabled]
     _log_stages(*report.stages)
     if args.out == "-":
         dump_jsonl(corpus, sys.stdout)
@@ -423,3 +424,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

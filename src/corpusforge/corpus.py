@@ -1,9 +1,9 @@
 """Document model, token accounting, and streaming JSONL corpus I/O.
 
-A corpus is an ordered sequence of immutable Document records exchanged
-as JSON Lines (UTF-8, one object per line, LF endings). Token counts are
-whitespace-token counts throughout: every stage and report counts the same
-way.
+A Corpus is a list of immutable Document records, exchanged as JSON
+Lines (UTF-8, one object per line, LF endings). A Document counts its own
+whitespace tokens from its text, and every stage and report reads that
+count, so all count the same way.
 
 Other input files are read by ``read_input`` (``read_json_input`` for JSON),
 and each JSON object in them is checked by ``check_object``; a config
@@ -192,79 +192,61 @@ def atomic_write(
 
 @dataclass(frozen=True)
 class Document:
-    """One corpus record. ``token_count`` is derived from ``text`` when omitted."""
+    """One corpus record. ``token_count`` is always ``count_tokens(text)``:
+    it is computed here and cannot be passed in."""
 
     id: str
     source: str
     text: str
     meta: dict[str, str] = field(default_factory=dict)
-    token_count: int | None = None
+    token_count: int = field(init=False)
 
     def __post_init__(self):
         if not self.id:
             raise CorpusError("document id must be non-empty")
-        if self.token_count is None:
-            object.__setattr__(self, "token_count", count_tokens(self.text))
+        object.__setattr__(self, "token_count", count_tokens(self.text))
 
     def with_text(self, text: str) -> "Document":
-        """Copy with new text and a recomputed token count."""
-        return replace(self, text=text, token_count=count_tokens(text))
-
-    def with_id(self, doc_id: str) -> "Document":
-        return replace(self, id=doc_id)
+        """Copy with new text (and so a recomputed token count)."""
+        return replace(self, text=text)
 
 
-@dataclass
-class Corpus:
-    """Ordered document container; iteration order is ingestion order."""
-
-    docs: list[Document] = field(default_factory=list)
-
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self.docs)
-
-    def __len__(self) -> int:
-        return len(self.docs)
-
-    def __getitem__(self, i):
-        return self.docs[i]
+class Corpus(list):
+    """A list of Documents in ingestion order, with token accounting."""
 
     @property
     def total_tokens(self) -> int:
-        return sum(d.token_count for d in self.docs)
+        return sum(d.token_count for d in self)
 
     def source_tokens(self) -> dict[str, int]:
         """Token totals per source tag, in order of first appearance."""
         totals: dict[str, int] = {}
-        for d in self.docs:
+        for d in self:
             totals[d.source] = totals.get(d.source, 0) + d.token_count
         return totals
 
     def check_unique_ids(self) -> None:
         seen: set[str] = set()
-        for d in self.docs:
+        for d in self:
             if d.id in seen:
                 raise CorpusError(f"duplicate document id {d.id!r}")
             seen.add(d.id)
 
 
 def iter_jsonl(
-    path: str | Path, source_default: str | None = None,
-    seen: dict[str, tuple[Path, int]] | None = None,
+    path: str | Path, seen: dict[str, tuple[Path, int]] | None = None
 ) -> Iterator[Document]:
     """Stream Documents from a JSONL file in file order.
 
     Each line must be a JSON object with string fields "id" and "text";
-    "source" and "meta" are optional. A leading UTF-8 BOM is stripped,
-    blank lines are skipped, and unpaired surrogates are removed from the
-    text. Malformed lines raise CorpusError with the line number and byte
-    offset; a repeated id raises CorpusError naming both lines. ``seen``
-    maps each id already read to its file and line: one dict passed for
-    several files checks ids across them all.
+    "source" (the file's stem when absent) and "meta" are optional. A
+    leading UTF-8 BOM is stripped, blank lines are skipped, and unpaired
+    surrogates are removed from the text. Malformed lines raise CorpusError
+    with the line number and byte offset; a repeated id raises CorpusError
+    naming both lines. ``seen`` maps each id already read to its file and
+    line: one dict passed for several files checks ids across them all.
     """
     path = Path(path)
-    if source_default is None:
-        source_default = path.stem
     if seen is None:
         seen = {}
     offset = 0
@@ -291,7 +273,7 @@ def iter_jsonl(
                     "expected a JSON object"
                 )
             # Strict UTF-8 holds no surrogate: only a \u escape brings one.
-            doc = _doc_from_record(obj, path, lineno, source_default, b"\\u" in stripped)
+            doc = _doc_from_record(obj, path, lineno, b"\\u" in stripped)
             if doc.id in seen:
                 first_path, first = seen[doc.id]
                 # By identity: a file given twice is read as two inputs.
@@ -307,9 +289,7 @@ def iter_jsonl(
             yield doc
 
 
-def _doc_from_record(
-    obj: dict, path: Path, lineno: int, source_default: str, escaped: bool
-) -> Document:
+def _doc_from_record(obj: dict, path: Path, lineno: int, escaped: bool) -> Document:
     """The Document of a parsed line; ``escaped`` says whether the line
     may hold a surrogate, which only a JSON ``\\u`` escape writes."""
     where = f"{path}: line {lineno}"
@@ -319,7 +299,7 @@ def _doc_from_record(
         raise CorpusError(f"{where}: missing or non-string 'id'")
     if not isinstance(text, str):
         raise CorpusError(f"{where}: missing or non-string 'text'")
-    source = obj.get("source", source_default)
+    source = obj["source"] if "source" in obj else path.stem
     if not isinstance(source, str):
         raise CorpusError(f"{where}: 'source' must be a string")
     meta = obj.get("meta", {})
@@ -332,12 +312,9 @@ def _doc_from_record(
     return Document(id=doc_id, source=source, text=text, meta=dict(meta))
 
 
-def read_jsonl(
-    path: str | Path, source_default: str | None = None,
-    seen: dict[str, tuple[Path, int]] | None = None,
-) -> Corpus:
+def read_jsonl(path: str | Path, seen: dict[str, tuple[Path, int]] | None = None) -> Corpus:
     """Load a whole JSONL file into a Corpus (see ``iter_jsonl``)."""
-    return Corpus(list(iter_jsonl(path, source_default, seen)))
+    return Corpus(iter_jsonl(path, seen))
 
 
 def _record(doc: Document) -> dict:

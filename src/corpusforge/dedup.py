@@ -472,7 +472,7 @@ def dedup_documents(
         registries: dict[str | None, DedupRegistry] = defaultdict(partial(DedupRegistry, cfg))
         if registry is not None:
             registries[None] = registry
-        kept = []
+        kept = Corpus()
         for doc, key in zip(corpus, keys):
             reg = registries[doc.source if group_by_source else None]
             hit = reg.probe(key)
@@ -482,7 +482,7 @@ def dedup_documents(
             else:
                 reason = REASON_DUP if doc.text.strip() else REASON_DUP_EMPTY
                 report.record_drop(doc.id, reason, kept_id=hit)
-        return Corpus(kept)
+        return kept
 
     return run_stage("dedup_per_source" if group_by_source else "dedup_overall", corpus, step)
 

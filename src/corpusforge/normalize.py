@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -207,9 +207,9 @@ def split_document(doc: Document, cfg: SplitConfig = SplitConfig()) -> list[Docu
     target = cfg.target_tokens
     # 1.5x in integers: exact for any target, where a float overflows.
     limit = target + target // 2
-    # str.split and _TOKEN_RE's \S share one whitespace rule (str.isspace),
-    # so the count decides; only a document to cut needs token spans.
-    if len(doc.text.split()) <= limit:
+    # token_count (str.split) and _TOKEN_RE's \S share one whitespace rule
+    # (str.isspace), so the count decides; only a document to cut needs token spans.
+    if doc.token_count <= limit:
         return [doc]
     spans = [m.span() for m in _TOKEN_RE.finditer(doc.text)]
     n = len(spans)
@@ -222,11 +222,11 @@ def split_document(doc: Document, cfg: SplitConfig = SplitConfig()) -> list[Docu
         hi = min(limit, n - start - 1)
         g = _pick_cut(doc.text, spans, start, lo, hi, target, cfg)
         piece = doc.text[spans[start][0] : spans[start + g - 1][1]]
-        chunks.append(doc.with_text(piece).with_id(f"{doc.id}#{k}"))
+        chunks.append(replace(doc, id=f"{doc.id}#{k}", text=piece))
         start += g
         k += 1
     piece = doc.text[spans[start][0] : spans[n - 1][1]]
-    chunks.append(doc.with_text(piece).with_id(f"{doc.id}#{k}"))
+    chunks.append(replace(doc, id=f"{doc.id}#{k}", text=piece))
     return chunks
 
 
@@ -246,11 +246,14 @@ def standardize_corpus(
 def split_corpus(
     corpus: Corpus, cfg: SplitConfig = SplitConfig()
 ) -> tuple[Corpus, StageReport]:
-    """Split every over-length document; short documents pass through."""
+    """Split every over-length document; short documents pass through.
+    A chunk id that another document also holds is a CorpusError."""
 
     def step(report: StageReport) -> Corpus:
         piece_lists = [split_document(doc, cfg) for doc in corpus]
         report.counters["docs_split"] = sum(1 for pieces in piece_lists if len(pieces) > 1)
-        return Corpus([doc for pieces in piece_lists for doc in pieces])
+        out = Corpus(doc for pieces in piece_lists for doc in pieces)
+        out.check_unique_ids()  # a chunk id "<parent>#k" may be another document's id
+        return out
 
     return run_stage("split", corpus, step)

@@ -162,8 +162,10 @@ def ingest(paths: list[str | Path]) -> tuple[Corpus, StageReport]:
 
     def step(report: StageReport) -> Corpus:
         report.counters["files"] = len(paths)
-        seen: dict = {}
-        return Corpus([doc for path in paths for doc in read_jsonl(path, seen=seen)])
+        corpus, seen = Corpus(), {}
+        for path in paths:
+            corpus += read_jsonl(path, seen=seen)
+        return corpus
 
     return run_stage("ingest", None, step)
 

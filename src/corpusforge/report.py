@@ -139,26 +139,26 @@ def keep_or_drop(
     report: StageReport, corpus: Corpus, reasons: Iterable[str | None]
 ) -> Corpus:
     """Keep the documents whose reason is None; record the rest as drops."""
-    kept = []
+    kept = Corpus()
     for doc, reason in zip(corpus, reasons):
         if reason is None:
             kept.append(doc)
         else:
             report.record_drop(doc.id, reason)
-    return Corpus(kept)
+    return kept
 
 
 def rewrite_texts(report: StageReport, corpus: Corpus, texts: Iterable[str]) -> Corpus:
     """Give each document its new text and count the ones that changed."""
-    out_docs = []
+    out = Corpus()
     changed = 0
     for doc, text in zip(corpus, texts):
         if text != doc.text:
             changed += 1
             doc = doc.with_text(text)
-        out_docs.append(doc)
+        out.append(doc)
     report.counters["docs_changed"] = changed
-    return Corpus(out_docs)
+    return out
 
 
 @dataclass

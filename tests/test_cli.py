@@ -6,11 +6,13 @@ import json
 import os
 import random
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from corpusforge import cli, dedup, mteval
 from corpusforge.cli import main
 from corpusforge.corpus import Corpus, Document, read_jsonl, write_jsonl
@@ -55,6 +57,14 @@ def test_version(capsys):
     assert _forge("--version") == 0
     out = capsys.readouterr().out
     assert out == "forge 0.1.0\n"
+
+
+def test_python_m_cli_runs_forge(tmp_path: Path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "corpusforge.cli", "--version"],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "forge 0.1.0\n"), proc.stderr
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -409,7 +419,7 @@ def test_split_target_past_float_range_leaves_documents_whole(tmp_path: Path, ro
     (tmp_path / "c.json").write_text(f'{{"split": {{"target_tokens": {target}}}}}', encoding="utf-8")
     how = ["--target", target] if route == "flag" else ["--config", str(tmp_path / "c.json")]
     assert _forge("split", *how, "--in", str(src), "--out", str(out)) == 0
-    assert read_jsonl(out).docs == read_jsonl(src).docs
+    assert read_jsonl(out) == read_jsonl(src)
 
 
 def _chain(*stages):
@@ -624,6 +634,41 @@ def test_two_outputs_on_one_path_are_refused(
     before = sorted(tmp_path.iterdir())
     assert _forge("dedup", "--in", str(corpus_file), "--out", "x", flag, str(tmp_path / "x")) == 2
     assert "'" + str(tmp_path / "x") + "'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("flag", ["--out", "--fps-out", "--report"])
+def test_an_output_path_that_is_a_directory_is_refused(
+    corpus_file: Path, tmp_path: Path, capsys, monkeypatch, flag: str
+):
+    def run_pipeline(*args, **kwargs):
+        raise AssertionError("the chain ran before the paths were checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    outputs = {"--out": "o.jsonl", "--fps-out": "f.fps", "--report": "r.json", flag: "d"}
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg for pair in outputs.items() for arg in pair]
+    assert _forge("dedup", "--in", str(corpus_file), *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'d' is a directory" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["split", "run"])
+def test_a_chunk_id_another_document_holds_is_a_data_error(tmp_path: Path, capsys, command: str):
+    src = _write(tmp_path / "in.jsonl", [
+        Document(id="a", source="web", text=_urdu(43)),
+        Document(id="a#1", source="web", text=_urdu(12)),
+    ])
+    (tmp_path / "c.json").write_text('{"split": {"target_tokens": 10}}', encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    code = _forge(command, "--config", str(tmp_path / "c.json"), "--in", str(src),
+                  "--out", str(tmp_path / "o.jsonl"), "--report", str(tmp_path / "r.json"))
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'a#1'" in captured.err
     assert sorted(tmp_path.iterdir()) == before
 
 

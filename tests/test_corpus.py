@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,13 @@ def test_token_count_is_derived():
 def test_with_text_recounts():
     d = _doc(1).with_text("ایک")
     assert d.token_count == 1 and d.id == "d1"
+
+
+def test_document_takes_no_token_count():
+    with pytest.raises(TypeError):
+        Document("a", "s", "ایک دو", token_count=5)
+    with pytest.raises(ValueError):
+        replace(_doc(1), token_count=5)
 
 
 def test_empty_id_rejected():
@@ -103,7 +111,6 @@ def test_source_defaults_to_file_stem(tmp_path: Path):
     p = tmp_path / "webcrawl.jsonl"
     p.write_text('{"id": "a", "text": "x"}\n', encoding="utf-8")
     assert read_jsonl(p)[0].source == "webcrawl"
-    assert read_jsonl(p, source_default="cc")[0].source == "cc"
 
 
 def test_bom_and_blank_lines(tmp_path: Path):
@@ -221,6 +228,16 @@ def test_corpus_accounting():
     c = Corpus(docs)
     assert c.total_tokens == 6
     assert c.source_tokens() == {"web": 5, "news": 1}
+
+
+def test_corpus_is_a_list_of_documents(tmp_path: Path):
+    docs = [_doc(1), _doc(2, "ایک"), _doc(3)]
+    c = Corpus(docs)
+    assert isinstance(c, list) and c == docs and len(c) == 3
+    assert c[1:] == docs[1:] and c[-1] is docs[-1]
+    write_jsonl(c, tmp_path / "c.jsonl")
+    back = read_jsonl(tmp_path / "c.jsonl")
+    assert type(back) is Corpus and back == docs
 
 
 def test_check_unique_ids():

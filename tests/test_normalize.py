@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpusforge.corpus import Corpus, Document, whitespace_tokens
-from corpusforge.errors import ConfigError
+from corpusforge.errors import ConfigError, CorpusError
 from corpusforge.normalize import (
     _TOKEN_RE,
     CharMapTable,
@@ -232,11 +232,11 @@ def _reference_split(doc: Document, cfg: SplitConfig) -> list[Document]:
         hi = min(int(1.5 * target), n - start - 1)
         g = _pick_cut(doc.text, spans, start, lo, hi, target, cfg)
         piece = doc.text[spans[start][0] : spans[start + g - 1][1]]
-        chunks.append(doc.with_text(piece).with_id(f"{doc.id}#{k}"))
+        chunks.append(Document(f"{doc.id}#{k}", doc.source, piece, doc.meta))
         start += g
         k += 1
     piece = doc.text[spans[start][0] : spans[n - 1][1]]
-    chunks.append(doc.with_text(piece).with_id(f"{doc.id}#{k}"))
+    chunks.append(Document(f"{doc.id}#{k}", doc.source, piece, doc.meta))
     return chunks
 
 
@@ -299,6 +299,16 @@ def test_standardize_corpus_token_accounting():
     assert report.tokens_in == 3
     assert report.tokens_out == 2
     assert out.total_tokens == 2
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_split_refuses_a_chunk_id_another_document_holds(order: int):
+    docs = [
+        Document(id="a", source="s", text=" ".join(["ل"] * 43)),
+        Document(id="a#1", source="s", text="ایک دو"),
+    ]
+    with pytest.raises(CorpusError, match="'a#1'"):
+        split_corpus(Corpus(docs[::order]), SplitConfig(target_tokens=10))
 
 
 def test_split_corpus_accounting():

@@ -42,6 +42,14 @@ def test_default_config_runs_all_stages():
     assert len(out) == 1
 
 
+def test_library_corpus_is_counted_from_its_text(tmp_path: Path):
+    out, report = run_pipeline(Corpus([Document(id="a", source="s", text=_urdu(40))]))
+    assert [(s.tokens_in, s.tokens_out) for s in report.stages] == [(40, 40)] * len(STAGES)
+    assert report.original_source_tokens == report.final_source_tokens == {"s": 40}
+    write_jsonl(out, tmp_path / "o.jsonl")
+    assert json.loads((tmp_path / "o.jsonl").read_text(encoding="utf-8"))["token_count"] == 40
+
+
 def test_stage_chain_conserves_counts():
     docs = [
         Document(id=f"u{i}", source="s", text=_urdu(30 + i)) for i in range(5)
