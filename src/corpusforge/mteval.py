@@ -19,13 +19,14 @@ types, an order-1 key is ``sentence * (V + 1) + token id`` and an order-n
 key is the n-gram's first n-1 tokens' index in the order n-1 table times
 ``V + 1`` plus its last token. Each system's n-grams are looked up in
 those tables with ``np.searchsorted``: a token no reference holds gets id
-V and an n-gram the table lacks gets the index ``len(table)``, so neither
-ever matches. An order's clipped count sums, over the table, the smaller
-of the system's hits and the reference count. The keys are exact
-integers, so the results equal the textbook definition with a ``Counter``
-of n-gram tuples per sentence, bit for bit; references too large for
-int64 keys raise DataError. numpy is imported on first use, so a command
-that scores nothing never loads it.
+V (the vocabulary is a plain dict, read with ``dict.get(token, V)``, so
+scoring never adds to it) and an n-gram the table lacks gets the index
+``len(table)``, so neither ever matches. An order's clipped count sums,
+over the table, the smaller of the system's hits and the reference
+count. The keys are exact integers, so the results equal the textbook
+definition with a ``Counter`` of n-gram tuples per sentence, bit for
+bit; references too large for int64 keys raise DataError. numpy is
+imported on first use, so a command that scores nothing never loads it.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import check_value
 from .errors import ConfigError, DataError
+from .report import table_lines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,16 +76,12 @@ class _Vocabulary(dict):
         return self[token]
 
 
-class _Known(dict):
-    """Token to id; a token it lacks gets ``len(self)``, which no token has."""
-
-    def __missing__(self, token: str) -> int:
-        return len(self)
-
-
-def _token_ids(lines: Sequence[str], vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The vocabulary ids of the whitespace tokens of ``lines``, in order,
-    and each token's line number."""
+def _token_ids(
+    lines: Sequence[str], lookup: Callable, *args: Iterable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ids ``lookup`` gives the whitespace tokens of ``lines``, in
+    order, and each token's line number. Each of ``args`` yields one more
+    argument per call, as in ``map``."""
     import numpy as np
 
     lengths: list[int] = []
@@ -93,7 +91,7 @@ def _token_ids(lines: Sequence[str], vocab: dict[str, int]) -> tuple[np.ndarray,
         lengths.append(len(tokens))
         return tokens
 
-    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(map(split, lines))), dtype=np.int64)
+    ids = np.fromiter(map(lookup, chain.from_iterable(map(split, lines)), *args), dtype=np.int64)
     return ids, np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
 
 
@@ -111,7 +109,7 @@ class ReferenceTables:
     the one an n-gram the references lack gets.
     """
 
-    vocab: _Known
+    vocab: dict[str, int]
     length: int
     sentences: int
     tables: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -125,7 +123,7 @@ def prepare_references(references: Sequence[str]) -> ReferenceTables:
     import numpy as np
 
     vocab = _Vocabulary()
-    ids, sent = _token_ids(references, vocab)
+    ids, sent = _token_ids(references, vocab.__getitem__)
     width = len(vocab) + 1
     # An order-1 key is below len(references) * width. A prefix index is at
     # most len(ids), a system's unmatched one included, so a longer key is
@@ -148,7 +146,7 @@ def prepare_references(references: Sequence[str]) -> ReferenceTables:
         prefix = np.full(len(within), len(keys), dtype=np.int64)
         prefix[within] = index
         tables.append((np.append(keys, bound), np.append(counts, 0)))
-    return ReferenceTables(_Known(vocab), len(ids), len(references), tuple(tables))
+    return ReferenceTables(dict(vocab), len(ids), len(references), tuple(tables))
 
 
 def corpus_bleu(
@@ -170,8 +168,9 @@ def corpus_bleu(
     if not isinstance(references, ReferenceTables):
         references = prepare_references(references)
 
-    width = len(references.vocab) + 1
-    ids, sent = _token_ids(hypotheses, references.vocab)
+    vocab = references.vocab
+    width = len(vocab) + 1
+    ids, sent = _token_ids(hypotheses, vocab.get, repeat(len(vocab)))
     precisions = []
     prefix = sent
     for n, (table, ref_counts) in zip(_ORDERS, references.tables):
@@ -246,6 +245,8 @@ def evaluate_sets(
             system: corpus_bleu(hyps, references, smoothing)
             for system, hyps in s.hypotheses.items()
         }
+        # Released before the next set is read, so one set is held at a time.
+        del s, references
     return scores
 
 
@@ -277,8 +278,7 @@ def compare_systems(
         name: max((res.score for res in per_set.values()), default=None)
         for name, per_set in scores.items()
     }
-    header = ["System"] + names
-    rows = [header]
+    rows = [["System"] + names]
     for system in systems:
         row = [system]
         for name in names:
@@ -289,13 +289,4 @@ def compare_systems(
                 mark = "*" if res.score == best[name] else ""
                 row.append(f"{res.score:.2f}{mark}")
         rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(rows):
-        cells = [row[0].ljust(widths[0])] + [
-            c.rjust(widths[j + 1]) for j, c in enumerate(row[1:])
-        ]
-        lines.append("  ".join(cells).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in table_lines(rows, "  ", "  "))

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import (
-    Corpus, check_object, check_settings, check_value, read_json_input, read_jsonl, setting,
-    settings,
+    Corpus, Document, check_object, check_settings, check_value, read_json_input, read_jsonl,
+    setting, settings,
 )
 from .dedup import DedupConfig, DedupRegistry, dedup_pass
 from .errors import ConfigError
@@ -171,20 +172,25 @@ def ingest(paths: list[str | Path]) -> tuple[Corpus, StageReport]:
 
 
 def run_pipeline(
-    inputs: list[str | Path] | Corpus,
+    inputs: Iterable[str | Path] | Iterable[Document],
     cfg: PipelineConfig | None = None,
     registry: DedupRegistry | None = None,
 ) -> tuple[Corpus, PipelineReport]:
-    """Run every stage over the input files (or an in-memory corpus).
+    """Run every stage over the input files, or over an in-memory corpus:
+    a ``Corpus`` or any non-empty iterable of Documents only.
     ``registry`` seeds dedup's corpus-wide pass and collects what it keeps."""
     if cfg is None:
         cfg = PipelineConfig()
 
+    if not isinstance(inputs, Corpus):
+        inputs = list(inputs)
+        if inputs and all(isinstance(doc, Document) for doc in inputs):
+            inputs = Corpus(inputs)
     if isinstance(inputs, Corpus):
         inputs.check_unique_ids()
         corpus, rep = run_stage("ingest", None, lambda report: inputs)
     else:
-        corpus, rep = ingest(list(inputs))
+        corpus, rep = ingest(inputs)
     stages = [rep]
     original = corpus.source_tokens()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .corpus import Corpus, check_object
 from .errors import DataError
@@ -261,22 +261,22 @@ def render_report(report: PipelineReport, fmt: str = "table") -> str:
     # table layout this mirrors.
     rows.append(("TOTAL", f"{orig_t:,}", f"{final_t:,}", f"{orig_t - final_t:,}", "-"))
 
-    widths = [len(c) for c in _TABLE_COLUMNS]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    lines = table_lines([_TABLE_COLUMNS, *rows], " | ", "-+-")
+    lines.insert(-1, lines[1])  # the rule again, above TOTAL
+    return "\n".join(lines)
 
-    def line(cells: tuple[str, ...]) -> str:
-        out = [cells[0].ljust(widths[0])]
-        out += [cells[i].rjust(widths[i]) for i in range(1, len(cells))]
-        return " | ".join(out)
 
-    sep = "-+-".join("-" * w for w in widths)
-    body = [line(_TABLE_COLUMNS), sep]
-    body += [line(r) for r in rows[:-1]]
-    body.append(sep)
-    body.append(line(rows[-1]))
-    return "\n".join(body)
+def table_lines(rows: list[Sequence[str]], sep: str, cross: str) -> list[str]:
+    """``rows`` aligned in columns, the header ``rows[0]`` first: the first
+    column padded on the right, the others on the left, cells joined by
+    ``sep``. A rule of dashes, joined by ``cross``, follows the header."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = [
+        sep.join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])])
+        for row in rows
+    ]
+    lines.insert(1, cross.join("-" * w for w in widths))
+    return lines
 
 
 def stage_summary(stage: StageReport) -> str:

@@ -20,6 +20,7 @@ import pytest
 from conftest import child_env
 from corpusforge.corpus import Corpus, Document, write_jsonl
 
+TRACER_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 TEXT = "کتاب مدرسہ دریا پہاڑ سورج چاند ستارہ بادل بارش درخت کا کی کے کو نے"
 # The modules a command loads only on use; ``_hashlib`` is OpenSSL.
 LAZY = ("numpy", "_hashlib", "concurrent.futures", "multiprocessing")
@@ -69,6 +70,20 @@ def test_importing_the_package_and_cli_loads_none_of_them(tmp_path: Path):
     out = _python(
         "import json, sys\n"
         "import corpusforge, corpusforge.cli\n"
+        f"print(json.dumps({LOADED}))\n",
+        cwd=tmp_path,
+    )
+    assert out == []
+
+
+def test_the_benchmark_tracer_loads_no_pool_machinery(tmp_path: Path):
+    # The tracer subclasses _parallel's placeholder pool class; reading it
+    # imports nothing, so traced runs import what untraced runs do.
+    out = _python(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(TRACER_DIR)!r})\n"
+        "from tracing import Tracer\n"
+        "Tracer().install()\n"
         f"print(json.dumps({LOADED}))\n",
         cwd=tmp_path,
     )

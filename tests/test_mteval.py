@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -270,6 +272,20 @@ def test_prepared_references_score_every_system_like_the_counter_reference(case,
         assert corpus_bleu(hyps, tables, smoothing=smoothing) == _reference_bleu(hyps, refs, smoothing)
 
 
+@pytest.mark.parametrize("smoothing", mteval.SMOOTHINGS)
+def test_reference_vocabulary_is_a_plain_dict_that_scoring_never_grows(smoothing):
+    refs = ["a b c d", "ایک دو ہے", "a a b"]
+    tables = mteval.prepare_references(refs)
+    assert isinstance(tables.vocab, dict)
+    vocab = dict(tables.vocab)
+    with contextlib.suppress(KeyError):
+        tables.vocab["x"]  # indexing adds no token
+    # Hypotheses of unknown tokens only, and unknown tokens among known ones.
+    for hyps in (["x y z w", "y x", "z"], ["a x b c d", "x ایک دو ہے", "a a y b"]):
+        assert corpus_bleu(hyps, tables, smoothing) == _reference_bleu(hyps, refs, smoothing)
+    assert tables.vocab == vocab and "x" not in tables.vocab
+
+
 @pytest.mark.parametrize(
     "refs,bound",
     [
@@ -328,24 +344,28 @@ def test_reference_copy_beats_token_shuffle():
 
 
 def test_compare_table_marks_best():
-    out = compare_systems(_two_system_sets(), smoothing="epsilon", fmt="table")
-    lines = out.splitlines()
-    assert "dev" in lines[0]
-    copy_row = next(l for l in lines if l.startswith("copy"))
-    scramble_row = next(l for l in lines if l.startswith("scramble"))
-    assert "100.00*" in copy_row
-    assert "*" not in scramble_row
+    # System names pad on the right, scores on the left, with two spaces
+    # between columns and no trailing space.
+    assert compare_systems(_two_system_sets(), smoothing="epsilon", fmt="table") == (
+        "System        dev\n"
+        "--------  -------\n"
+        "copy      100.00*\n"
+        "scramble     8.70"
+    )
 
 
 def test_compare_handles_missing_system():
-    refs = ("ایک دو تین",)
+    refs = ("ایک دو تین چار پانچ",)
     sets = [
-        EvalSet(name="s1", references=refs, hypotheses={"a": refs, "b": refs}),
+        EvalSet(name="s1", references=refs, hypotheses={"a": refs, "b": ("ایک دو تین چار",)}),
         EvalSet(name="s2", references=refs, hypotheses={"a": refs}),
     ]
-    out = compare_systems(sets, fmt="table")
-    b_row = next(l for l in out.splitlines() if l.startswith("b"))
-    assert "-" in b_row
+    assert compare_systems(sets, fmt="table") == (
+        "System       s1       s2\n"
+        "------  -------  -------\n"
+        "a       100.00*  100.00*\n"
+        "b         77.88        -"
+    )
 
 
 def test_compare_json_payload():
@@ -379,6 +399,33 @@ def test_compare_rejects_bad_format(monkeypatch):
     monkeypatch.setattr(mteval, "corpus_bleu", unexpected)
     with pytest.raises(ConfigError):
         compare_systems(_two_system_sets(), fmt="csv")
+
+
+def test_scoring_holds_one_set_at_a_time():
+    # A set and its reference tables are released before the next set is
+    # asked for, so scoring a stream of sets holds one at a time.
+    refs = ("ایک دو تین چار", "a b c")
+    alive: list[weakref.ref] = []
+    prepare = mteval.prepare_references
+
+    def spy_prepare(references):
+        tables = prepare(references)
+        alive.append(weakref.ref(tables))
+        return tables
+
+    def sets():
+        for i in range(3):
+            assert [ref() for ref in alive] == [None] * len(alive)
+            s = EvalSet(name=f"s{i}", references=tuple(refs), hypotheses={"a": refs[::-1]})
+            alive.append(weakref.ref(s))
+            yield s
+            del s
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mteval, "prepare_references", spy_prepare)
+        scores = evaluate_sets(sets())
+    assert list(scores) == ["s0", "s1", "s2"]
+    assert len(alive) == 6
 
 
 def test_sets_may_come_from_a_generator():

@@ -135,6 +135,27 @@ def test_empty_corpus_flows_through():
     assert all(s.docs_in == s.docs_out == 0 for s in report.stages)
 
 
+def _without_durations(obj):
+    if isinstance(obj, dict):
+        return {k: _without_durations(v) for k, v in obj.items() if k != "duration_ms"}
+    if isinstance(obj, list):
+        return [_without_durations(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("given", [
+    pytest.param(lambda: list(SMALL_CORPUS), id="list"),
+    pytest.param(lambda: Corpus([Document(id="z", source="s", text=_urdu(20))] + SMALL_CORPUS)[1:],
+                 id="slice"),
+    pytest.param(lambda: (doc for doc in SMALL_CORPUS), id="generator"),
+])
+def test_documents_in_any_iterable_are_an_in_memory_corpus(given):
+    out, report = run_pipeline(given())
+    want_out, want_report = run_pipeline(Corpus(SMALL_CORPUS))
+    assert out == want_out
+    assert _without_durations(report.to_dict()) == _without_durations(want_report.to_dict())
+
+
 def test_split_runs_after_dedup():
     # a long doc must be deduped whole, then chunked
     long_text = _urdu(1200)
